@@ -152,7 +152,10 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
     if getattr(overrides, "n", None) is not None:
         raw["n"] = overrides.n
     if getattr(overrides, "snr", None) is not None:
-        raw["snr_grid"] = [float(s) for s in overrides.snr.split(",") if s]
+        try:
+            raw["snr_grid"] = [float(s) for s in overrides.snr.split(",") if s]
+        except ValueError as exc:
+            raise ConfigError(f"--snr: {exc}") from exc
         raw.pop("beta_grid", None)
     if getattr(overrides, "c_n", None) is not None:
         raw["c_n"] = overrides.c_n

@@ -15,3 +15,19 @@ class ConfigError(InputError):
 
 class DegenerateFitError(RankPhaseError):
     """A regression target is degenerate (e.g. constant rank vector)."""
+
+
+class MatchBudgetError(RankPhaseError):
+    """The exact restricted matcher outgrew its dynamic program's budgets.
+
+    ``incumbent`` is a feasible rank vector and ``gap`` a certified bound on
+    how far its objective may lie above the optimum.
+    """
+
+    def __init__(self, incumbent, gap: float):
+        super().__init__(
+            "restricted matching outgrew the dynamic program's budgets; "
+            f"the incumbent is within {gap:.3e} of optimal"
+        )
+        self.incumbent = incumbent
+        self.gap = gap

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, InputError, RankPhaseError
+from .errors import DegenerateFitError, InputError, MatchBudgetError, RankPhaseError
 from .matching import exhaustive_feature_match, feature_match, match_objective
 from .model import (
     InteractionMatrix,
@@ -84,9 +84,14 @@ class IterationTrace:
 
     objective_path[0] is the objective at the initial rank; one entry is
     appended per alternation step, and the path is nonincreasing by
-    construction.  negative_slope_iters lists the steps at which the fitted
-    slope came out nonpositive (the iteration continues with the fitted
-    value, magnitude floored at 1e-12).
+    construction.  converged means the decrease fell below the tolerance
+    (or the fit degenerated); stalled means a step would have raised the
+    objective, so the run stopped at the incumbent.  match_gap is the
+    largest certified optimality gap of a matching step that outgrew the
+    dynamic program's budget, 0.0 when every step was matched exactly.
+    negative_slope_iters lists the steps at which the fitted slope came out
+    nonpositive (the iteration continues with the fitted value, magnitude
+    floored at 1e-12).
     """
 
     iterations: int
@@ -94,6 +99,8 @@ class IterationTrace:
     converged: bool
     final_rank: RankVector
     negative_slope_iters: tuple[int, ...] = ()
+    stalled: bool = False
+    match_gap: float = 0.0
 
 
 def _matrix_sums(X: InteractionMatrix) -> tuple[np.ndarray, np.ndarray, float]:
@@ -205,8 +212,11 @@ def profile_ls_estimate(
 
     Each pass feature-matches the scores against the current linear
     surrogate a + b*k over the restricted space, then refits (a, b) by
-    least squares.  Stops when the objective decrease falls below ``tol``
-    or after ``max_iters`` passes; returns the best rank seen.
+    least squares.  Stops when the objective decrease falls below ``tol``,
+    when a step would raise the objective, or after ``max_iters`` passes;
+    returns the best rank seen.  A matching step that outgrows the DP
+    budget continues from the feasible rank its MatchBudgetError carries,
+    and the trace keeps the largest certified gap.
     """
     if space.c_n_sq is None:
         raise InputError("profile_ls_estimate needs a restricted space (c_n_sq set)")
@@ -233,7 +243,8 @@ def profile_ls_estimate(
 
     path = [pl_value(r_cur)]
     negative_slopes: list[int] = []
-    converged = False
+    converged = stalled = False
+    match_gap = 0.0
     iterations = 0
     for it in range(1, max_iters + 1):
         try:
@@ -247,7 +258,11 @@ def profile_ls_estimate(
         if abs(b) < SLOPE_FLOOR:
             b = SLOPE_FLOOR if b >= 0.0 else -SLOPE_FLOOR
         surrogate = fit.a_hat + b * positions
-        candidate = feature_match(S, surrogate, space)
+        try:
+            candidate = feature_match(S, surrogate, space)
+        except MatchBudgetError as exc:
+            candidate = exc.incumbent
+            match_gap = max(match_gap, exc.gap)
         iterations = it
         cand_pl = pl_value(candidate)
         prev_pl = path[-1]
@@ -258,10 +273,11 @@ def profile_ls_estimate(
                 converged = True
                 break
         else:
-            # can only happen on the best-effort restricted-repair branch;
-            # keep the incumbent so the path stays nonincreasing
+            # an exact match cannot raise the objective, so this takes a
+            # budget-bounded match, the slope floor or rounding; keep the
+            # incumbent so the path stays nonincreasing
             path.append(prev_pl)
-            converged = True
+            stalled = True
             break
 
     final = RankVector(r_cur)
@@ -271,6 +287,8 @@ def profile_ls_estimate(
         converged=converged,
         final_rank=final,
         negative_slope_iters=tuple(negative_slopes),
+        stalled=stalled,
+        match_gap=match_gap,
     )
     return final, trace
 

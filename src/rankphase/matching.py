@@ -6,24 +6,30 @@ sum_i (S_i - theta_{r(i)})^2.  The feasible space couples the coordinates
 only through the sum budget |sum r - sum i| <= c_n and, for the restricted
 space, the additional |sum r^2 - sum i^2| <= c'_n.
 
-Solver layout:
+Solver ladder:
 
 * Phase 1 picks the unconstrained per-coordinate nearest position (ties to
   the smallest index).  If that already satisfies the budgets it is optimal.
 * For affine theta (theta_k linear in k) the per-coordinate costs are convex
   in k, so a marginal-cost greedy projects the sum onto the nearest budget
   boundary exactly; this is the fast path used at experiment scale.
-* Otherwise an exact dynamic program over coordinates runs with state =
-  cumulative sum deviation (and, for the restricted space, cumulative
-  sum-of-squares deviation), restricted to states that are both reachable
-  and completable into the budget window.
+  Otherwise an exact dynamic program runs over the cumulative sum
+  deviation, restricted to states that are both reachable and completable
+  into the budget window.
 * A solution that is optimal over the sum-only space and happens to satisfy
   the sum-of-squares budget is optimal over the restricted space too (the
   restricted space is a subset), which keeps the fast path exact in the
-  common case.  When the restricted budget does bind and the 2-d dynamic
-  program would be too large, a deterministic walk toward the identity rank
-  restores feasibility; that branch is best-effort and never triggered at
-  the sizes where exactness is verified by enumeration.
+  common case.
+* When the sum-of-squares budget binds, a dynamic program over (sum
+  deviation, sum-of-squares deviation) solves the restricted problem.  If
+  the full box of those states fits the budgets below, it runs with every
+  position allowed.  Larger instances first get a Lagrangian lower bound
+  (both budgets relaxed, Hochbaum, Math. OR 19(2), 1994), and the same DP
+  then runs only over positions and partial assignments whose reduced cost
+  stays within a band tau.  tau widens until the best rank in the band is
+  within tau of the bound, which proves it optimal.  A band that outgrows
+  the budgets raises MatchBudgetError with a feasible rank and its
+  certified gap; no branch returns an uncertified answer.
 """
 
 from __future__ import annotations
@@ -33,11 +39,11 @@ import itertools
 
 import numpy as np
 
-from .errors import InputError, RankPhaseError
+from .errors import InputError, MatchBudgetError, RankPhaseError
 from .model import RankSpace
 
-# Budgets for the dynamic program: total number of states, and states times
-# the per-state transition count n.
+# Budgets for the dynamic programs: total number of states, and transitions
+# (states times the positions each may move to).
 DP_STATE_BUDGET = 5_000_000
 DP_OP_BUDGET = 500_000_000
 
@@ -136,75 +142,29 @@ def _greedy_sum_repair(
     return r
 
 
-def _restricted_walk_repair(
-    S: np.ndarray, theta: np.ndarray, r0: np.ndarray, space: RankSpace
-) -> np.ndarray:
-    """Deterministic feasibility repair for the restricted space.
+def _window_bounds(
+    step_lo: np.ndarray, step_hi: np.ndarray, c: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate window of cumulative deviations worth keeping.
 
-    Walks coordinates toward the identity rank, preferring moves that shrink
-    the sum-of-squares deviation at the least cost increase, while keeping
-    the sum deviation inside its window.  Terminates because every step
-    strictly reduces sum_i |r(i) - i|, and the identity rank is feasible.
+    step_lo[i] and step_hi[i] bound the deviation coordinate i can add.  A
+    cumulative deviation after coordinate i is kept when it is reachable
+    from zero and the remaining coordinates can still bring it into [-c, c].
     """
-    n = space.n
-    c, csq = space.c_n, space.c_n_sq
-    assert csq is not None
-    r = r0.copy()
-    dev1, dev2 = _devs(r, space)
-    while abs(dev2) > csq:
-        best = None
-        for i in range(n):
-            target = i + 1
-            if r[i] == target:
-                continue
-            d = -1 if r[i] > target else 1
-            ndev1 = dev1 + d
-            if abs(ndev1) > c:
-                continue
-            ndev2 = dev2 + 2 * int(r[i]) * d + 1
-            a = S[i] - theta[r[i] + d - 1]
-            b = S[i] - theta[r[i] - 1]
-            cost_delta = float(a * a - b * b)
-            key = (0 if abs(ndev2) < abs(dev2) else 1, cost_delta, i)
-            if best is None or key < best[0]:
-                best = (key, i, d, ndev1, ndev2)
-        if best is None:
-            raise RankPhaseError("restricted repair found no admissible move")
-        _, i, d, dev1, dev2 = best
-        r[i] += d
-    return r
-
-
-def _window_bounds_1d(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(n, dtype=np.int64)
-    smin = -idx
-    smax = (n - 1) - idx
-    reach_lo = np.cumsum(smin)
-    reach_hi = np.cumsum(smax)
-    fut_lo = smin.sum() - reach_lo
-    fut_hi = smax.sum() - reach_hi
+    reach_lo = np.cumsum(step_lo)
+    reach_hi = np.cumsum(step_hi)
+    fut_lo = step_lo.sum() - reach_lo
+    fut_hi = step_hi.sum() - reach_hi
     lo = np.maximum(reach_lo, -c - fut_hi)
     hi = np.minimum(reach_hi, c - fut_lo)
-    return lo, hi
-
-
-def _window_bounds_2d(n: int, csq: int) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.arange(1, n + 1, dtype=np.int64)
-    smin = 1 - pos**2
-    smax = n**2 - pos**2
-    reach_lo = np.cumsum(smin)
-    reach_hi = np.cumsum(smax)
-    fut_lo = smin.sum() - reach_lo
-    fut_hi = smax.sum() - reach_hi
-    lo = np.maximum(reach_lo, -csq - fut_hi)
-    hi = np.minimum(reach_hi, csq - fut_lo)
     return lo, hi
 
 
 def _dp_match_sum(S: np.ndarray, theta: np.ndarray, c: int) -> np.ndarray | None:
     """Exact DP over cumulative sum deviation.  None if over budget."""
     n = S.shape[0]
-    lo, hi = _window_bounds_1d(n, c)
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    lo, hi = _window_bounds(1 - idx, n - idx, c)
     widths = hi - lo + 1
     states = int(widths.sum())
     if states > DP_STATE_BUDGET or states * n > DP_OP_BUDGET:
@@ -260,91 +220,322 @@ def _dp_match_sum(S: np.ndarray, theta: np.ndarray, c: int) -> np.ndarray | None
     return r
 
 
+def _restricted_box_fits(space: RankSpace) -> bool:
+    """True when the full (sum, sum-of-squares) deviation box fits the DP budgets."""
+    n = space.n
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    lo1, hi1 = _window_bounds(1 - idx, n - idx, space.c_n)
+    lo2, hi2 = _window_bounds(1 - idx**2, n * n - idx**2, space.c_n_sq)
+    cells = int(np.sum((hi1 - lo1 + 1) * (hi2 - lo2 + 1)))
+    return cells <= DP_STATE_BUDGET and cells * n <= DP_OP_BUDGET
+
+
+def _keep_cheapest(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Merge DP transitions into one state per key, keeping the cheapest.
+
+    Each part is (key, value, reduced, parent, position) with keys sorted and
+    distinct, parts in increasing position order.  The stable sort keeps the
+    earlier part, hence the smaller position, among equal values.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    merged = tuple(np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(merged[0], kind="stable")
+    key, value = merged[0][order], merged[1][order]
+    head = np.ones(key.shape[0], dtype=bool)
+    head[1:] = key[1:] != key[:-1]
+    if not head.all():
+        group = np.cumsum(head) - 1
+        cheapest = np.minimum.reduceat(value, np.flatnonzero(head))
+        hit = np.flatnonzero(value == cheapest[group])
+        first = np.ones(hit.shape[0], dtype=bool)
+        first[1:] = group[hit[1:]] != group[hit[:-1]]
+        order = order[hit[first]]
+    return tuple(column[order] for column in merged)
+
+
 def _dp_match_restricted(
-    S: np.ndarray, theta: np.ndarray, space: RankSpace
+    S: np.ndarray,
+    theta: np.ndarray,
+    space: RankSpace,
+    reduced: np.ndarray | None = None,
+    tau: float = np.inf,
 ) -> np.ndarray | None:
-    """Exact DP over (sum deviation, sum-of-squares deviation).  None if over budget."""
+    """Exact DP over (sum deviation, sum-of-squares deviation) on a reduced-cost band.
+
+    Coordinate i may take position k only when reduced[i, k-1] <= tau, and a
+    partial assignment is kept only while its accumulated reduced cost is at
+    most tau.  reduced=None allows every position and state: the full DP.
+    Only reachable states are stored, sorted by (sum, sum-of-squares)
+    deviation.  Returns the cheapest feasible rank in the band, with ties
+    going to the smallest position at each state and then to the smallest
+    final deviations, or None if the band holds no feasible rank.  Raises
+    MatchBudgetError, without an incumbent, if the live states exceed
+    DP_STATE_BUDGET or the transitions DP_OP_BUDGET.
+    """
     n = space.n
     c, csq = space.c_n, space.c_n_sq
     assert csq is not None
-    lo1, hi1 = _window_bounds_1d(n, c)
-    lo2, hi2 = _window_bounds_2d(n, csq)
-    w1 = hi1 - lo1 + 1
-    w2 = hi2 - lo2 + 1
-    cells = int(np.sum(w1 * w2))
-    if cells > DP_STATE_BUDGET or cells * n > DP_OP_BUDGET:
-        return None
     cost = (S[:, None] - theta[None, :]) ** 2
+    if reduced is None:
+        reduced = np.zeros_like(cost)
+    allowed = reduced <= tau
+    if not allowed.any(axis=1).all():
+        return None
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    step1 = idx[None, :] - idx[:, None]
+    step2 = idx[None, :] ** 2 - idx[:, None] ** 2
+    big = np.iinfo(np.int64).max // 4
 
-    dp_prev: np.ndarray | None = None
-    choices: list[np.ndarray] = []
+    def band_window(step, budget):
+        step_lo = np.where(allowed, step, big).min(axis=1)
+        step_hi = np.where(allowed, step, -big).max(axis=1)
+        return [v.tolist() for v in _window_bounds(step_lo, step_hi, budget)]
+
+    lo1, hi1 = band_window(step1, c)
+    lo2, hi2 = band_window(step2, csq)
+
+    # live states of the current layer, sorted by (dev1, dev2)
+    dev1 = np.zeros(1, dtype=np.int64)
+    dev2 = np.zeros(1, dtype=np.int64)
+    val = np.zeros(1)
+    red = np.zeros(1)
+    parents: list[np.ndarray | None] = []
+    picks: list = []
+    live = ops = 0
+    layer_share = max(1, DP_STATE_BUDGET // n)
     for i in range(n):
-        dp = np.full((int(w1[i]), int(w2[i])), np.inf)
-        ch = np.zeros((int(w1[i]), int(w2[i])), dtype=np.int16)
-        for k in range(1, n + 1):
-            s1 = k - (i + 1)
-            s2 = k * k - (i + 1) * (i + 1)
-            if i == 0:
-                if lo1[0] <= s1 <= hi1[0] and lo2[0] <= s2 <= hi2[0]:
-                    j1, j2 = s1 - lo1[0], s2 - lo2[0]
-                    if cost[0, k - 1] < dp[j1, j2]:
-                        dp[j1, j2] = cost[0, k - 1]
-                        ch[j1, j2] = k
+        ks = np.flatnonzero(allowed[i])
+        if ks.shape[0] == 1:
+            # one position: every state shifts alike and stays sorted and
+            # distinct; the window and band checks wait for a later row
+            k = int(ks[0])
+            dev1 = dev1 + (k - i)
+            dev2 = dev2 + ((k + 1) ** 2 - (i + 1) ** 2)
+            val = val + cost[i, k]
+            red = red + reduced[i, k]
+            parents.append(None)
+            picks.append(k + 1)
+            continue
+        ops += dev1.shape[0] * ks.shape[0]
+        if ops > DP_OP_BUDGET:
+            raise MatchBudgetError(None, np.inf)
+        width2 = hi2[i] - lo2[i] + 1
+        parts: list[tuple[np.ndarray, ...]] = []
+        merged = size = 0
+        for k in ks.tolist():
+            s1, s2 = k - i, (k + 1) ** 2 - (i + 1) ** 2
+            # dev1 is sorted, so the states landing in its window form a slice
+            a = int(np.searchsorted(dev1, lo1[i] - s1, side="left"))
+            b = int(np.searchsorted(dev1, hi1[i] - s1, side="right"))
+            if a == b:
                 continue
-            a_lo = max(int(lo1[i]), int(lo1[i - 1]) + s1)
-            a_hi = min(int(hi1[i]), int(hi1[i - 1]) + s1)
-            b_lo = max(int(lo2[i]), int(lo2[i - 1]) + s2)
-            b_hi = min(int(hi2[i]), int(hi2[i - 1]) + s2)
-            if a_lo > a_hi or b_lo > b_hi:
-                continue
-            dst = (
-                slice(a_lo - int(lo1[i]), a_hi - int(lo1[i]) + 1),
-                slice(b_lo - int(lo2[i]), b_hi - int(lo2[i]) + 1),
+            d2 = dev2[a:b] + s2
+            r = red[a:b] + reduced[i, k]
+            sel = np.flatnonzero((d2 >= lo2[i]) & (d2 <= hi2[i]) & (r <= tau))
+            key = (dev1[a:b][sel] + (s1 - lo1[i])) * width2 + (d2[sel] - lo2[i])
+            parts.append(
+                (key, val[a:b][sel] + cost[i, k], r[sel], sel + a, np.full(sel.shape[0], k + 1))
             )
-            src = (
-                slice(a_lo - s1 - int(lo1[i - 1]), a_hi - s1 - int(lo1[i - 1]) + 1),
-                slice(b_lo - s2 - int(lo2[i - 1]), b_hi - s2 - int(lo2[i - 1]) + 1),
-            )
-            cand = dp_prev[src] + cost[i, k - 1]
-            better = cand < dp[dst]
-            dp[dst] = np.where(better, cand, dp[dst])
-            ch[dst][better] = k
-        choices.append(ch)
-        dp_prev = dp
+            size += sel.shape[0]
+            if size - merged >= max(layer_share, merged):
+                # fold the transitions so far into distinct states: bounds
+                # the layer's memory, and doubling keeps the sorting cheap
+                parts = [_keep_cheapest(parts)]
+                merged = size = parts[0][0].shape[0]
+                if live + merged > DP_STATE_BUDGET:
+                    raise MatchBudgetError(None, np.inf)
+        if not parts:
+            return None
+        key, val, red, par, pick = _keep_cheapest(parts)
+        if key.shape[0] == 0:
+            return None
+        dev1 = key // width2 + lo1[i]
+        dev2 = key % width2 + lo2[i]
+        live += key.shape[0]
+        if live > DP_STATE_BUDGET:
+            raise MatchBudgetError(None, np.inf)
+        parents.append(par)
+        picks.append(pick)
 
-    f1_lo = max(int(lo1[n - 1]), -c)
-    f1_hi = min(int(hi1[n - 1]), c)
-    f2_lo = max(int(lo2[n - 1]), -csq)
-    f2_hi = min(int(hi2[n - 1]), csq)
-    best = None
-    best_cost = np.inf
-    for d1 in range(f1_lo, f1_hi + 1):
-        row = dp_prev[d1 - int(lo1[n - 1])]
-        for d2 in range(f2_lo, f2_hi + 1):
-            v = row[d2 - int(lo2[n - 1])]
-            if v < best_cost:
-                best_cost, best = v, (d1, d2)
-    if best is None or not np.isfinite(best_cost):
-        raise RankPhaseError("restricted DP found no feasible state")
-
+    final = np.flatnonzero((np.abs(dev1) <= c) & (np.abs(dev2) <= csq) & (red <= tau))
+    if final.shape[0] == 0:
+        return None
+    j = int(final[np.argmin(val[final])])
     r = np.zeros(n, dtype=np.int64)
-    d1, d2 = best
     for i in range(n - 1, -1, -1):
-        k = int(choices[i][d1 - int(lo1[i]), d2 - int(lo2[i])])
-        if k == 0:
-            raise RankPhaseError("restricted DP backtrack hit an unreached state")
-        r[i] = k
-        d1 -= k - (i + 1)
-        d2 -= k * k - (i + 1) * (i + 1)
+        if parents[i] is None:
+            r[i] = picks[i]
+        else:
+            r[i] = picks[i][j]
+            j = int(parents[i][j])
     return r
+
+
+def _maximize_concave(f, scale: float):
+    """Maximize a concave piecewise-linear function of one variable.
+
+    f(x) returns (value, slope, aux), the slope being a supergradient.  The
+    bracket grows from [-scale, scale] until its end slopes point inward.
+    Each step then tries the breakpoint where the two end lines meet, or
+    the midpoint on every fourth step, and the search stops at the
+    breakpoint once f reaches those lines or its slope is zero, rather than
+    at float precision.  Returns (best value, lower end, upper end): the
+    final bracket's evaluations, which at a breakpoint are both optimal.
+    """
+    lo, hi = -scale, scale
+    f_lo, f_hi = f(lo), f(hi)
+    for _ in range(128):
+        if f_lo[1] >= 0:
+            break
+        hi, f_hi = lo, f_lo
+        lo *= 4.0
+        f_lo = f(lo)
+    for _ in range(128):
+        if f_hi[1] <= 0:
+            break
+        lo, f_lo = hi, f_hi
+        hi *= 4.0
+        f_hi = f(hi)
+    best = max(f_lo[0], f_hi[0])
+    if f_lo[1] <= 0:
+        return best, f_lo, f_lo
+    if f_hi[1] >= 0:
+        return best, f_hi, f_hi
+    for step in range(64):
+        x = 0.5 * (lo + hi)
+        if step % 4 != 3:
+            meet = (f_hi[0] - f_lo[0] + f_lo[1] * lo - f_hi[1] * hi) / (f_lo[1] - f_hi[1])
+            if lo < meet < hi:
+                x = meet
+        if not lo < x < hi:
+            break
+        fx = f(x)
+        best = max(best, fx[0])
+        if fx[1] == 0:
+            return best, fx, fx
+        line = f_lo[0] + f_lo[1] * (x - lo)
+        if fx[0] >= line - 1e-12 * abs(line):
+            break
+        if fx[1] > 0:
+            lo, f_lo = x, fx
+        else:
+            hi, f_hi = x, fx
+    return best, f_lo, f_hi
+
+
+def _budget_slope(x: float, dev: float, budget: int) -> float:
+    """Supergradient in x of x * dev - |x| * budget."""
+    if x > 0 or (x == 0 and dev > budget):
+        return dev - budget
+    if x < 0 or dev < -budget:
+        return dev + budget
+    return 0
+
+
+def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
+    """Lower bound on the restricted matching objective by Lagrangian relaxation.
+
+    Relaxing the sum-of-squares budget with multiplier lam and the sum
+    budget with mu separates the coordinates: row i takes the argmin over k
+    of cost[i, k-1] + lam*k^2 + mu*k.  The dual value is concave and
+    piecewise linear in (lam, mu), with the integer budget violations of
+    that argmin as supergradients (Hochbaum, Math. OR 19(2), 1994).  mu is
+    maximized for each lam; at the breakpoint the two bracketing argmins
+    are both optimal, and the mix of them that zeroes the mu slope gives
+    the lam slope for the outer search.
+
+    Returns (lower bound, reduced costs at the best multipliers, slack,
+    incumbent): reduced costs are the excess over each row's minimum,
+    slack covers their rounding error, and the incumbent is the cheapest
+    feasible row-wise argmin met (the identity rank if none was).
+    """
+    n = space.n
+    c, csq = space.c_n, space.c_n_sq
+    t1, t2 = space.identity_sum(), space.identity_sumsq()
+    pos = np.arange(1, n + 1, dtype=np.float64)
+    rows = np.arange(n)
+    incumbent = np.arange(1, n + 1, dtype=np.int64)
+    inc_cost = float(np.sum(cost[rows, rows]))
+    best = (float(np.sum(cost.min(axis=1))), 0.0, 0.0)  # the bound at lam = mu = 0
+
+    def over_mu(lam):
+        base = cost + lam * pos * pos
+
+        def dual(mu):
+            nonlocal incumbent, inc_cost, best
+            a = base + mu * pos
+            k = np.argmin(a, axis=1)
+            r = k + 1
+            value = float(np.sum(a[rows, k])) - lam * t2 - mu * t1 - abs(lam) * csq - abs(mu) * c
+            dev1 = int(r.sum()) - t1
+            dev2 = int(r @ r) - t2
+            if value > best[0]:
+                best = (value, lam, mu)
+            if abs(dev1) <= c and abs(dev2) <= csq:
+                obj = float(np.sum(cost[rows, k]))
+                if obj < inc_cost:
+                    incumbent, inc_cost = r, obj
+            return value, _budget_slope(mu, dev1, c), dev2
+
+        value, left, right = _maximize_concave(dual, spread / n + abs(lam) * (n + 1))
+        if left[1] == right[1]:
+            dev2 = left[2]
+        else:
+            w = right[1] / (right[1] - left[1])
+            dev2 = w * left[2] + (1.0 - w) * right[2]
+        return value, _budget_slope(lam, dev2, csq), None
+
+    # multipliers act on the costs within a row, so they scale with its spread
+    spread = float(np.max(cost.max(axis=1) - cost.min(axis=1))) or 1.0
+    _maximize_concave(over_mu, spread / (n * n))
+    lb, lam, mu = best
+    a = cost + lam * pos * pos + mu * pos
+    reduced = a - a.min(axis=1, keepdims=True)
+    slack = 1e-12 * float(np.abs(a).max(axis=1).sum())
+    return lb, reduced, slack, incumbent
+
+
+def _restricted_band_match(S: np.ndarray, theta: np.ndarray, space: RankSpace) -> np.ndarray:
+    """Exact restricted matching for instances beyond the full DP box.
+
+    Every feasible r satisfies cost(r) >= LB + (sum of its reduced costs),
+    so no rank outside the band of reduced-cost sum tau beats LB + tau.
+    The band DP starts at tau = (incumbent - LB) / 64, or at a typical
+    row's cheapest move off its Lagrangian argmin if that is smaller, and
+    widens fourfold, up to incumbent - LB, until the incumbent is within
+    tau of LB, which proves it optimal.  Raises MatchBudgetError with the
+    incumbent and its certified gap when a band outgrows the DP budgets.
+    """
+    n = space.n
+    rows = np.arange(n)
+    cost = (S[:, None] - theta[None, :]) ** 2
+    lb, reduced, slack, incumbent = _lagrangian_bound(cost, space)
+    gap = float(np.sum(cost[rows, incumbent - 1])) - lb
+    second = np.partition(reduced, 1, axis=1)[:, 1]
+    tau = min(gap / 64.0, float(np.median(second)))
+    while gap > 0.0:
+        try:
+            banded = _dp_match_restricted(S, theta, space, reduced, tau + slack)
+        except MatchBudgetError:
+            raise MatchBudgetError(incumbent, gap) from None
+        if banded is not None:
+            banded_gap = float(np.sum(cost[rows, banded - 1])) - lb
+            if banded_gap <= gap:
+                incumbent, gap = banded, banded_gap
+        if gap <= tau:
+            break
+        tau = min(max(4.0 * tau, gap / 64.0), gap)
+    return incumbent
 
 
 def feature_match(scores, theta, space: RankSpace) -> np.ndarray:
     """Minimize sum_i (S_i - theta_{r(i)})^2 over the rank space.
 
-    Returns the optimal rank entries as an int64 array.  Optimality is exact
-    on every instance small enough to verify by enumeration; see the module
-    docstring for the solver ladder.
+    Returns the optimal rank entries as an int64 array; see the module
+    docstring for the solver ladder.  Raises MatchBudgetError, carrying a
+    feasible rank and its certified optimality gap, when a restricted
+    instance outgrows the dynamic program's budgets.
     """
     n = space.n
     S = _score_array(scores, n)
@@ -371,10 +562,9 @@ def feature_match(scores, theta, space: RankSpace) -> np.ndarray:
     if abs(dev2) <= space.c_n_sq:
         # optimal over the sum-only superset and feasible here, hence optimal
         return r1
-    r2 = _dp_match_restricted(S, th, space)
-    if r2 is not None:
-        return r2
-    return _restricted_walk_repair(S, th, r1, space)
+    if _restricted_box_fits(space):
+        return _dp_match_restricted(S, th, space)
+    return _restricted_band_match(S, th, space)
 
 
 def exhaustive_feature_match(

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InputError, RankPhaseError
 from .model import ModelSpec, RankSpace, RankVector, position_mean_table
@@ -77,6 +76,9 @@ def _check_means(mu: np.ndarray, n: int, name: str) -> np.ndarray:
 
 def poisson_log_likelihood(X: PoissonCounts, mu) -> float:
     """sum over i != j of X_ij*log(mu_ij) - mu_ij - log(X_ij!)."""
+    # deferred: scipy.special costs most of the package's import time
+    from scipy.special import gammaln
+
     n = X.n
     m = _check_means(mu, n, "mu")
     off = _offdiag(n)
@@ -93,6 +95,8 @@ def poisson_mle_brute_force(
     Enumerates every feasible rank vector; ties broken by lexicographic
     order.  Refuses n > n_max.
     """
+    from scipy.special import gammaln
+
     n = X.n
     if n > n_max:
         raise InputError(f"poisson_mle_brute_force refused for n={n} > {n_max}")

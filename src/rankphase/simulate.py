@@ -224,22 +224,28 @@ class ExperimentConfig:
             if key not in raw:
                 raise ConfigError(f"field {key!r}: missing")
         model_raw = raw["model"]
-        if model_raw not in CONFIG_MODELS:
+        if not isinstance(model_raw, str) or model_raw not in CONFIG_MODELS:
             raise ConfigError(f"field 'model': unknown model {model_raw!r}")
         model = CONFIG_MODELS[model_raw]
         n = _as_int(raw["n"], "n")
-        sigma = float(raw.get("sigma", 1.0))
+        sigma = _as_float(raw.get("sigma", 1.0), "sigma")
         if "snr_grid" in raw and "beta_grid" in raw:
             raise ConfigError("field 'beta_grid': give snr_grid or beta_grid, not both")
         beta_grid = None
         if "snr_grid" in raw:
-            snr_grid = tuple(float(s) for s in _as_list(raw["snr_grid"], "snr_grid"))
+            snr_grid = tuple(
+                _as_float(s, "snr_grid") for s in _as_list(raw["snr_grid"], "snr_grid")
+            )
         elif "beta_grid" in raw:
-            beta_grid = tuple(float(b) for b in _as_list(raw["beta_grid"], "beta_grid"))
+            beta_grid = tuple(
+                _as_float(b, "beta_grid") for b in _as_list(raw["beta_grid"], "beta_grid")
+            )
             snr_grid = tuple(_snr_from_beta(model, n, b, sigma) for b in beta_grid)
         else:
             raise ConfigError("field 'snr_grid': missing (or give beta_grid)")
-        q_list = tuple(float(q) for q in raw.get("q_list", (0.0, 1.0, 2.0)))
+        q_list = tuple(
+            _as_float(q, "q_list") for q in _as_list(raw.get("q_list", (0.0, 1.0, 2.0)), "q_list")
+        )
         return cls(
             model=model,
             n=n,
@@ -252,7 +258,7 @@ class ExperimentConfig:
             c_n=None if raw.get("c_n") is None else _as_int(raw["c_n"], "c_n"),
             c_n_sq=None if raw.get("c_n_sq") is None else _as_int(raw["c_n_sq"], "c_n_sq"),
             true_rank=str(raw.get("true_rank", "identity")),
-            alpha=None if raw.get("alpha") is None else float(raw["alpha"]),
+            alpha=None if raw.get("alpha") is None else _as_float(raw["alpha"], "alpha"),
             beta_grid=beta_grid,
         )
 
@@ -280,6 +286,18 @@ def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"field {name!r}: must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"field {name!r}: must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"field {name!r}: must be finite, got {value!r}")
+    return out
 
 
 def _as_list(value, name: str) -> list:

@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rankphase import ModelSpec, ResultRow, build_mean_matrix
 from rankphase.cli import CSV_HEADER, main, read_rows_csv, rows_to_csv
@@ -93,6 +94,32 @@ class TestSimulateCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma", "abc"),
+            ("snr_grid", ["x"]),
+            ("q_list", ["q"]),
+            ("q_list", 5),
+            ("model", ["differential"]),
+            ("sigma", math.nan),
+            ("sigma", math.inf),
+            ("snr_grid", [math.inf]),
+            ("alpha", "a"),
+            ("alpha", math.nan),
+        ],
+    )
+    def test_malformed_field_named_exit_2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"error: field '{field}'" in capsys.readouterr().err
+
+    def test_malformed_snr_override_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["simulate", "--config", str(cfg), "--snr", "abc", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert "--snr" in capsys.readouterr().err
 
 
 class TestPhaseDiagramCommand:
@@ -283,6 +310,18 @@ class TestSubprocessEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rankphase.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestShippedConfigs:

@@ -20,7 +20,9 @@ from rankphase import (
     score_adaptive,
     score_collaboration,
     score_comparison,
+    space_contains,
 )
+from rankphase import matching
 from rankphase.matching import feature_match
 from rankphase.simulate import generate_gaussian, random_feasible_rank
 
@@ -250,6 +252,22 @@ class TestProfileEstimate:
         rank, trace = profile_ls_estimate(scores, space, init=np.arange(1, n + 1))
         assert trace.negative_slope_iters
         assert len(rank.entries) == n
+
+    def test_budget_bounded_step_stalls_at_incumbent(self, monkeypatch):
+        # from a profile-LS optimum, a step whose matching outgrows the DP
+        # budget falls back to a worse certified incumbent: the run stalls
+        n = 30
+        space = RankSpace.default_restricted(n)
+        scores = np.random.default_rng(0).normal(0.0, 1.0, n)
+        start, _ = profile_ls_estimate(scores, space)
+        monkeypatch.setattr(matching, "DP_STATE_BUDGET", 50)
+        rank, trace = profile_ls_estimate(scores, space, init=start.entries)
+        assert trace.stalled and not trace.converged
+        assert trace.match_gap > 0.0
+        assert space_contains(space, rank.entries)
+        path = trace.objective_path
+        assert all(path[i + 1] <= path[i] for i in range(len(path) - 1))
+        assert list(rank.entries) == list(start.entries)
 
 
 class TestLseBruteForce:

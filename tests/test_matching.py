@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankphase import InputError, RankSpace, space_contains
+from rankphase import InputError, RankSpace, matching, space_contains
+from rankphase.errors import MatchBudgetError
 from rankphase.matching import (
     _dp_match_restricted,
     _dp_match_sum,
+    _restricted_band_match,
+    _restricted_box_fits,
     exhaustive_feature_match,
     feature_match,
     is_affine,
@@ -183,3 +188,59 @@ def test_tie_heavy_instances_stay_exact(rng):
         resid = scores[None, :] - theta[cand - 1]
         best = float(np.min(np.sum(resid * resid, axis=1)))
         assert match_objective(scores, theta, r) == best
+
+
+@st.composite
+def _restricted_instances(draw):
+    # a small sum-of-squares budget, so the restricted constraint binds;
+    # values on a 1/8 grid keep every objective exact, ties included
+    n = draw(st.integers(3, 6))
+    space = RankSpace(n, draw(st.integers(1, 3)), draw(st.integers(0, 2 * n)))
+    unit = st.integers(-24, 24).map(lambda v: v / 8.0)
+    scores = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        slope = draw(st.integers(1, 16)) / 8.0
+        theta = draw(unit) + slope * np.arange(1, n + 1)
+    else:
+        theta = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    return scores, theta, space
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_restricted_instances())
+def test_band_match_agrees_with_enumeration(instance):
+    scores, theta, space = instance
+    r = _restricted_band_match(scores, theta, space)
+    assert space_contains(space, r)
+    _, best = exhaustive_feature_match(scores, theta, space)
+    assert match_objective(scores, theta, r) == best
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_band_match_equals_full_dp_at_n21(monkeypatch, seed):
+    # n = 21 is the first size whose full DP box is over the default budget
+    space = RankSpace.default_restricted(21)
+    assert not _restricted_box_fits(space)
+    theta = 0.01 + 0.003 * np.arange(1, 22)
+    scores = np.random.default_rng(seed).normal(0.0, 0.05, 21)
+    r = feature_match(scores, theta, space)
+    monkeypatch.setattr(matching, "DP_STATE_BUDGET", 50_000_000)
+    monkeypatch.setattr(matching, "DP_OP_BUDGET", 5_000_000_000)
+    assert list(r) == list(_dp_match_restricted(scores, theta, space))
+
+
+def test_budget_error_carries_certified_incumbent(monkeypatch):
+    rng = np.random.default_rng(3)
+    n = 30
+    space = RankSpace.default_restricted(n)
+    theta = 0.01 + 0.003 * np.arange(1, n + 1)
+    scores = rng.normal(0.0, 0.05, n)
+    best = match_objective(scores, theta, feature_match(scores, theta, space))
+    monkeypatch.setattr(matching, "DP_STATE_BUDGET", 50)
+    with pytest.raises(MatchBudgetError) as info:
+        feature_match(scores, theta, space)
+    incumbent, gap = info.value.incumbent, info.value.gap
+    assert space_contains(space, incumbent)
+    assert gap >= 0.0
+    obj = match_objective(scores, theta, incumbent)
+    assert best <= obj <= best + gap + 1e-12
