@@ -510,8 +510,11 @@ def _restricted_band_match(S: np.ndarray, theta: np.ndarray, space: RankSpace) -
     n = space.n
     rows = np.arange(n)
     cost = (S[:, None] - theta[None, :]) ** 2
-    lb, reduced, slack, incumbent = _lagrangian_bound(cost, space)
-    gap = float(np.sum(cost[rows, incumbent - 1])) - lb
+    # bound and gaps are taken on each row's excess over its minimum, which
+    # keeps their precision when the costs are large but nearly flat
+    excess = cost - cost.min(axis=1, keepdims=True)
+    lb, reduced, slack, incumbent = _lagrangian_bound(excess, space)
+    gap = float(np.sum(excess[rows, incumbent - 1])) - lb
     second = np.partition(reduced, 1, axis=1)[:, 1]
     tau = min(gap / 64.0, float(np.median(second)))
     while gap > 0.0:
@@ -520,7 +523,7 @@ def _restricted_band_match(S: np.ndarray, theta: np.ndarray, space: RankSpace) -
         except MatchBudgetError:
             raise MatchBudgetError(incumbent, gap) from None
         if banded is not None:
-            banded_gap = float(np.sum(cost[rows, banded - 1])) - lb
+            banded_gap = float(np.sum(excess[rows, banded - 1])) - lb
             if banded_gap <= gap:
                 incumbent, gap = banded, banded_gap
         if gap <= tau:

@@ -229,6 +229,23 @@ def test_band_match_equals_full_dp_at_n21(monkeypatch, seed):
     assert list(r) == list(_dp_match_restricted(scores, theta, space))
 
 
+def test_band_match_on_nearly_flat_costs():
+    # a slope at profile LS's 1e-12 floor leaves costs of order 1 that vary
+    # by ~1e-10 along a row; the band must still prune and stay exact
+    rng = np.random.default_rng(4)
+    for n in (8, 12):
+        space = RankSpace(n, 2, n)
+        theta = 0.3 + 1e-12 * np.arange(1, n + 1)
+        scores = rng.normal(0.0, 1.0, n)
+        r = _restricted_band_match(scores, theta, space)
+        full = _dp_match_restricted(scores, theta, space)
+        assert match_objective(scores, theta, r) == match_objective(scores, theta, full)
+    space = RankSpace.default_restricted(100)
+    theta = 0.3 + 1e-12 * np.arange(1, 101)
+    r = feature_match(rng.normal(0.0, 1.0, 100), theta, space)
+    assert space_contains(space, r)
+
+
 def test_budget_error_carries_certified_incumbent(monkeypatch):
     rng = np.random.default_rng(3)
     n = 30
