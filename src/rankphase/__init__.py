@@ -29,14 +29,12 @@ from .model import (
     POISSON_SQRT_LINEAR,
     InteractionMatrix,
     ModelSpec,
-    NoiseSpec,
     RankSpace,
     RankVector,
     beta_for_snr,
     build_mean_matrix,
     default_sum_budget,
     default_sumsq_budget,
-    estimate_beta_squared,
     identity_rank,
     loss,
     position_mean_table,
@@ -64,7 +62,6 @@ from .simulate import (
     fit_regimes,
     generate_gaussian,
     generate_poisson,
-    probe_beta_squared,
     random_feasible_rank,
     resolve_workers,
     run_experiment,

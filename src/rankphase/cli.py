@@ -24,7 +24,14 @@ from .estimators import (
     score_adaptive,
 )
 from .matching import feature_match
-from .model import InteractionMatrix, RankSpace, default_sum_budget, default_sumsq_budget
+from .model import (
+    ENUMERATION_N_MAX,
+    InteractionMatrix,
+    RankSpace,
+    default_sum_budget,
+    default_sumsq_budget,
+    space_argmin,
+)
 from .simulate import (
     ExperimentConfig,
     ResultRow,
@@ -334,8 +341,8 @@ def _oracle_instance(n: int, idx: int, seed: int):
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    if not 3 <= args.n <= 6:
-        raise InputError(f"oracle-check needs 3 <= n <= 6, got n={args.n}")
+    if not 3 <= args.n <= ENUMERATION_N_MAX:
+        raise InputError(f"oracle-check needs 3 <= n <= {ENUMERATION_N_MAX}, got n={args.n}")
     n, count, seed = args.n, args.instances, args.seed
     fm_matches = 0
     fm_worst = 0.0
@@ -353,7 +360,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     pl_matches = 0
     pl_worst = 0.0
     space = RankSpace.default_restricted(n)
-    candidates = _feasible_candidates(space)
     for idx in range(count):
         # well-separated: permutation truth, SNR in [4, 10] at sigma = 1
         rng = np.random.default_rng(derive_seed(seed, 102, idx))
@@ -364,7 +370,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         scores = theta[r_true - 1] + rng.normal(0.0, 1.0 / math.sqrt(2 * n), n)
         _, trace = profile_ls_estimate(scores, space)
         pl_iter = trace.objective_path[-1]
-        pl_best = _exhaustive_pl_min(scores, candidates)
+        pl_best = _exhaustive_pl_min(scores, space)
         gap = pl_iter - pl_best
         pl_worst = max(pl_worst, gap)
         if abs(gap) <= 1e-9 * (1.0 + pl_best):
@@ -376,30 +382,23 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0 if fm_rate == 1.0 else 1
 
 
-def _feasible_candidates(space: RankSpace) -> np.ndarray:
-    import itertools
-
-    n = space.n
-    grid = np.array(list(itertools.product(range(1, n + 1), repeat=n)), dtype=np.int64)
-    keep = np.abs(grid.sum(axis=1) - space.identity_sum()) <= space.c_n
-    if space.c_n_sq is not None:
-        keep &= np.abs((grid**2).sum(axis=1) - space.identity_sumsq()) <= space.c_n_sq
-    return grid[keep]
-
-
-def _exhaustive_pl_min(scores: np.ndarray, candidates: np.ndarray) -> float:
+def _exhaustive_pl_min(scores: np.ndarray, space: RankSpace) -> float:
     # PL(r) = ||S_c||^2 - (c_r . S)^2/||c_r||^2 with c_r the centered rank
     # vector; constant candidates leave only the intercept projection.
     s_centered = scores - scores.mean()
     sst = float(np.dot(s_centered, s_centered))
-    c = candidates.astype(np.float64)
-    c -= c.mean(axis=1, keepdims=True)
-    denom = np.sum(c * c, axis=1)
-    proj = np.zeros(candidates.shape[0])
-    nz = denom > 0
-    dots = c[nz] @ s_centered
-    proj[nz] = dots * dots / denom[nz]
-    return float(np.min(sst - proj))
+
+    def pl_values(candidates: np.ndarray) -> np.ndarray:
+        c = candidates.astype(np.float64)
+        c -= c.mean(axis=1, keepdims=True)
+        denom = np.sum(c * c, axis=1)
+        proj = np.zeros(candidates.shape[0])
+        nz = denom > 0
+        dots = c[nz] @ s_centered
+        proj[nz] = dots * dots / denom[nz]
+        return sst - proj
+
+    return space_argmin(space, pl_values)[1]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -422,6 +421,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_override_args(parser: argparse.ArgumentParser) -> None:
+    """The config-field overrides shared by simulate and phase-diagram (see _load_config)."""
+    parser.add_argument("--seed", type=int, default=None, help="override master_seed")
+    parser.add_argument("--reps", type=int, default=None, help="override reps")
+    parser.add_argument("--n", type=int, default=None, help="override n")
+    parser.add_argument("--snr", default=None, help="override SNR grid, comma-separated")
+    parser.add_argument("--c-n", dest="c_n", type=int, default=None, help="override sum budget")
+    parser.add_argument(
+        "--c-n-sq", dest="c_n_sq", type=int, default=None, help="override sum-of-squares budget"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankphase",
@@ -432,14 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a replicated Monte Carlo grid")
     p_sim.add_argument("--config", required=True, help="JSON experiment config")
     p_sim.add_argument("--out", default="results.csv", help="output CSV path")
-    p_sim.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p_sim.add_argument("--reps", type=int, default=None, help="override reps")
-    p_sim.add_argument("--n", type=int, default=None, help="override n")
-    p_sim.add_argument("--snr", default=None, help="override SNR grid, comma-separated")
-    p_sim.add_argument("--c-n", dest="c_n", type=int, default=None, help="override sum budget")
-    p_sim.add_argument(
-        "--c-n-sq", dest="c_n_sq", type=int, default=None, help="override sum-of-squares budget"
-    )
+    _add_override_args(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_pd = sub.add_parser("phase-diagram", help="run a grid and fit the error regimes")
@@ -448,12 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pd.add_argument(
         "--from-results", default=None, help="fit regimes from an existing result CSV"
     )
-    p_pd.add_argument("--seed", type=int, default=None)
-    p_pd.add_argument("--reps", type=int, default=None)
-    p_pd.add_argument("--n", type=int, default=None)
-    p_pd.add_argument("--snr", default=None)
-    p_pd.add_argument("--c-n", dest="c_n", type=int, default=None)
-    p_pd.add_argument("--c-n-sq", dest="c_n_sq", type=int, default=None)
+    _add_override_args(p_pd)
     p_pd.set_defaults(func=cmd_phase_diagram)
 
     p_est = sub.add_parser("estimate", help="estimate ranks from an interaction CSV")

@@ -9,12 +9,11 @@ the small-n least-squares benchmark by enumeration.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, InputError, MatchBudgetError, RankPhaseError
+from .errors import DegenerateFitError, InputError, MatchBudgetError
 from .matching import exhaustive_feature_match, feature_match, match_objective
 from .model import (
     InteractionMatrix,
@@ -23,13 +22,13 @@ from .model import (
     RankVector,
     position_mean_table,
     rank_entries,
+    space_argmin,
     space_contains,
 )
 
 PL_CONVERGENCE_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100
 SLOPE_FLOOR = 1e-12
-BRUTE_FORCE_N_MAX = 6
 
 __all__ = [
     "ScoreVector",
@@ -293,44 +292,25 @@ def profile_ls_estimate(
     return final, trace
 
 
-def _enumerate_candidates(space: RankSpace) -> np.ndarray:
-    n = space.n
-    grid = np.array(list(itertools.product(range(1, n + 1), repeat=n)), dtype=np.int64)
-    keep = np.abs(grid.sum(axis=1) - space.identity_sum()) <= space.c_n
-    if space.c_n_sq is not None:
-        keep &= np.abs((grid**2).sum(axis=1) - space.identity_sumsq()) <= space.c_n_sq
-    return grid[keep]
-
-
-def lse_brute_force(
-    X: InteractionMatrix, model: ModelSpec, space: RankSpace, n_max: int = BRUTE_FORCE_N_MAX
-) -> RankVector:
+def lse_brute_force(X: InteractionMatrix, model: ModelSpec, space: RankSpace) -> RankVector:
     """Exact least-squares rank estimate by enumerating the feasible space.
 
     Minimizes sum_{i != j} (X_ij - mu_{r(i)r(j)})^2; ties broken by
-    lexicographic order of the rank vector.  Refuses n > n_max.
+    lexicographic order of the rank vector.  Refuses n > ENUMERATION_N_MAX.
     """
     n = X.n
-    if n > n_max:
-        raise InputError(f"lse_brute_force refused for n={n} > {n_max}")
     if model.n != n or space.n != n:
         raise InputError("matrix, model, and space sizes must agree")
-    cand = _enumerate_candidates(space)
-    if cand.shape[0] == 0:
-        raise RankPhaseError("empty feasible space")
     # mean lookup by latent position pair, then fancy-index per candidate
     pos_mu = position_mean_table(model)
     off = ~np.eye(n, dtype=bool)
     xv = X.zero_diagonal()
-    best_idx, best_val = 0, np.inf
-    chunk = 8192
-    for start in range(0, cand.shape[0], chunk):
-        block = cand[start : start + chunk] - 1
+
+    def sq_error(cand: np.ndarray) -> np.ndarray:
+        block = cand - 1
         mu = pos_mu[block[:, :, None], block[:, None, :]]
         diff = (xv[None, :, :] - mu) * off[None, :, :]
-        vals = np.sum(diff * diff, axis=(1, 2))
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_idx = start + j
-    return RankVector(cand[best_idx])
+        return np.sum(diff * diff, axis=(1, 2))
+
+    r, _ = space_argmin(space, sq_error)
+    return RankVector(r)

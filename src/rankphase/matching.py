@@ -35,12 +35,11 @@ Solver ladder:
 from __future__ import annotations
 
 import heapq
-import itertools
 
 import numpy as np
 
 from .errors import InputError, MatchBudgetError, RankPhaseError
-from .model import RankSpace
+from .model import RankSpace, space_argmin
 
 # Budgets for the dynamic programs: total number of states, and transitions
 # (states times the positions each may move to).
@@ -570,31 +569,18 @@ def feature_match(scores, theta, space: RankSpace) -> np.ndarray:
     return _restricted_band_match(S, th, space)
 
 
-def exhaustive_feature_match(
-    scores, theta, space: RankSpace, n_max: int = 6
-) -> tuple[np.ndarray, float]:
+def exhaustive_feature_match(scores, theta, space: RankSpace) -> tuple[np.ndarray, float]:
     """Reference minimizer by full enumeration (lexicographic tie-break).
 
     Only for small n; used as the oracle that feature_match is checked
     against.
     """
     n = space.n
-    if n > n_max:
-        raise InputError(f"exhaustive matching refused for n={n} > {n_max}")
     S = _score_array(scores, n)
     th = _theta_array(theta, n)
-    grid = np.array(
-        list(itertools.product(range(1, n + 1), repeat=n)), dtype=np.int64
-    )
-    dev1 = grid.sum(axis=1) - space.identity_sum()
-    keep = np.abs(dev1) <= space.c_n
-    if space.c_n_sq is not None:
-        dev2 = (grid**2).sum(axis=1) - space.identity_sumsq()
-        keep &= np.abs(dev2) <= space.c_n_sq
-    cand = grid[keep]
-    if cand.shape[0] == 0:
-        raise RankPhaseError("empty feasible space")
-    resid = S[None, :] - th[cand - 1]
-    obj = np.sum(resid * resid, axis=1)
-    best = int(np.argmin(obj))
-    return cand[best].copy(), float(obj[best])
+
+    def objective(cand: np.ndarray) -> np.ndarray:
+        resid = S[None, :] - th[cand - 1]
+        return np.sum(resid * resid, axis=1)
+
+    return space_argmin(space, objective)

@@ -4,16 +4,17 @@ A rank vector assigns an integer latent position r(i) in {1..n} to each of n
 objects; ties are allowed, so r need not be a permutation.  Observed
 interactions X_ij (i != j) are noisy readings of a mean mu_{r(i)r(j)} that
 depends only on the two latent positions.  This module holds the rank/space
-types, mean-matrix construction for the three supported mean structures,
-the l_q loss family, and the exact signal-gap identities used as numerical
-oracles elsewhere in the package.
+types, the enumeration of a rank space behind every small-n exact
+estimator, mean-matrix construction for the three supported mean
+structures, the l_q loss family, the exact signal-gap identities used as
+numerical oracles elsewhere in the package, and the SNR/beta conversion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +25,11 @@ ADDITIVE = "additive"
 POISSON_SQRT_LINEAR = "poisson_sqrt_linear"
 
 MODEL_KINDS = (DIFFERENTIAL, ADDITIVE, POISSON_SQRT_LINEAR)
+
+# Largest n whose rank space is enumerated (6^6 = 46,656 vectors), and the
+# number of candidates evaluated per call of the caller's value function.
+ENUMERATION_N_MAX = 6
+ENUMERATION_CHUNK = 8192
 
 
 def identity_rank(n: int) -> np.ndarray:
@@ -154,21 +160,32 @@ def space_contains(space: RankSpace, r) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Noise family for the interaction model: centered Gaussian or Poisson."""
+def space_argmin(
+    space: RankSpace, value: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, float]:
+    """Lexicographically first minimizer of ``value`` over the space, and its value.
 
-    family: str
-    sigma: float = 1.0
-    independent: bool = True
-
-    def __post_init__(self):
-        if self.family not in ("gaussian", "poisson"):
-            raise InputError(f"unknown noise family {self.family!r}")
-        if self.family == "gaussian" and not self.sigma > 0:
-            raise InputError("gaussian noise needs sigma > 0")
-        if not self.independent:
-            raise InputError("only independent noise is supported")
+    Enumerates every feasible rank vector in lexicographic order and passes
+    them to ``value`` as (k, n) int64 blocks of at most ENUMERATION_CHUNK
+    rows; ``value`` returns the k per-candidate values.  Refuses
+    n > ENUMERATION_N_MAX.
+    """
+    n = space.n
+    if n > ENUMERATION_N_MAX:
+        raise InputError(f"enumeration refused for n={n} > {ENUMERATION_N_MAX}")
+    cand = np.indices((n,) * n, dtype=np.int64).reshape(n, -1).T + 1
+    keep = np.abs(cand.sum(axis=1) - space.identity_sum()) <= space.c_n
+    if space.c_n_sq is not None:
+        keep &= np.abs((cand * cand).sum(axis=1) - space.identity_sumsq()) <= space.c_n_sq
+    cand = cand[keep]
+    best_idx, best_val = 0, math.inf
+    for start in range(0, cand.shape[0], ENUMERATION_CHUNK):
+        vals = value(cand[start : start + ENUMERATION_CHUNK])
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val = float(vals[j])
+            best_idx = start + j
+    return cand[best_idx].copy(), best_val
 
 
 @dataclass(frozen=True)
@@ -391,26 +408,3 @@ def beta_for_snr(n: int, snr_value: float, sigma: float) -> float:
     if snr_value < 0:
         raise InputError("snr must be nonnegative")
     return 2.0 * sigma * math.sqrt(snr_value / n)
-
-
-def estimate_beta_squared(model: ModelSpec, rank_pairs) -> float:
-    """Empirical beta^2: min of signal_gap / (2n ||r~ - r||^2) over given pairs.
-
-    For nonparametric ability vectors the signal constant is not known in
-    closed form, so it is probed on supplied rank pairs (identical pairs are
-    skipped).
-    """
-    best = math.inf
-    used = 0
-    for r, r_tilde in rank_pairs:
-        a = rank_entries(r, model.n)
-        b = rank_entries(r_tilde, model.n)
-        nsq = float(np.sum((a - b) ** 2))
-        if nsq == 0.0:
-            continue
-        gap = signal_gap(model, a, b)
-        best = min(best, gap / (2.0 * model.n * nsq))
-        used += 1
-    if used == 0:
-        raise InputError("estimate_beta_squared needs at least one distinct pair")
-    return best

@@ -11,14 +11,13 @@ quantity serves as an independent verification path.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, RankPhaseError
-from .model import ModelSpec, RankSpace, RankVector, position_mean_table
+from .errors import InputError
+from .model import ModelSpec, RankSpace, RankVector, position_mean_table, space_argmin
 
 __all__ = [
     "PoissonCounts",
@@ -87,48 +86,34 @@ def poisson_log_likelihood(X: PoissonCounts, mu) -> float:
     return float(np.sum(x * np.log(mo) - mo - gammaln(x + 1.0)))
 
 
-def poisson_mle_brute_force(
-    X: PoissonCounts, model: ModelSpec, space: RankSpace, n_max: int = 6
-) -> RankVector:
+def poisson_mle_brute_force(X: PoissonCounts, model: ModelSpec, space: RankSpace) -> RankVector:
     """Exact maximizer of the Poisson likelihood over the rank space.
 
     Enumerates every feasible rank vector; ties broken by lexicographic
-    order.  Refuses n > n_max.
+    order.  Refuses n > ENUMERATION_N_MAX.
     """
     from scipy.special import gammaln
 
     n = X.n
-    if n > n_max:
-        raise InputError(f"poisson_mle_brute_force refused for n={n} > {n_max}")
     if model.n != n or space.n != n:
         raise InputError("matrix, model, and space sizes must agree")
     pos_mu = position_mean_table(model)
     if np.any(pos_mu <= 0):
         raise InputError("model means must be strictly positive for the MLE")
-    grid = np.array(list(itertools.product(range(1, n + 1), repeat=n)), dtype=np.int64)
-    keep = np.abs(grid.sum(axis=1) - space.identity_sum()) <= space.c_n
-    if space.c_n_sq is not None:
-        keep &= np.abs((grid**2).sum(axis=1) - space.identity_sumsq()) <= space.c_n_sq
-    cand = grid[keep]
-    if cand.shape[0] == 0:
-        raise RankPhaseError("empty feasible space")
     off = _offdiag(n)
     x = X.values.astype(np.float64)
     log_pos = np.log(pos_mu)
     const = -float(np.sum(gammaln(x[off] + 1.0)))
-    best_idx, best_val = 0, -np.inf
-    chunk = 8192
-    for start in range(0, cand.shape[0], chunk):
-        block = cand[start : start + chunk] - 1
+
+    def neg_log_likelihood(cand: np.ndarray) -> np.ndarray:
+        block = cand - 1
         mu = pos_mu[block[:, :, None], block[:, None, :]]
         lmu = log_pos[block[:, :, None], block[:, None, :]]
         terms = (x[None, :, :] * lmu - mu) * off[None, :, :]
-        vals = np.sum(terms, axis=(1, 2)) + const
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_idx = start + j
-    return RankVector(cand[best_idx])
+        return -(np.sum(terms, axis=(1, 2)) + const)
+
+    r, _ = space_argmin(space, neg_log_likelihood)
+    return RankVector(r)
 
 
 def cell_affinity_series(mu1: float, mu2: float) -> float:

@@ -13,7 +13,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,16 +30,19 @@ from .matching import feature_match
 from .model import (
     ADDITIVE,
     DIFFERENTIAL,
+    ENUMERATION_N_MAX,
     POISSON_SQRT_LINEAR,
     InteractionMatrix,
     ModelSpec,
     RankSpace,
     RankVector,
+    beta_for_snr,
     build_mean_matrix,
     default_sum_budget,
     default_sumsq_budget,
     identity_rank,
     loss,
+    snr,
 )
 from .poisson import PoissonCounts, poisson_mle_brute_force
 
@@ -195,28 +198,16 @@ class ExperimentConfig:
                 raise ConfigError(
                     "field 'estimator': the poisson model supports only brute_force"
                 )
-        if self.estimator == "brute_force" and self.n > 6:
-            raise ConfigError("field 'n': brute_force estimator requires n <= 6")
+        if self.estimator == "brute_force" and self.n > ENUMERATION_N_MAX:
+            raise ConfigError(
+                f"field 'n': brute_force estimator requires n <= {ENUMERATION_N_MAX}"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "model",
-            "n",
-            "sigma",
-            "snr_grid",
-            "beta_grid",
-            "q_list",
-            "reps",
-            "master_seed",
-            "estimator",
-            "c_n",
-            "c_n_sq",
-            "true_rank",
-            "alpha",
-        }
+        known = {f.name for f in fields(cls)}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"field {key!r}: unknown config field")
@@ -240,7 +231,12 @@ class ExperimentConfig:
             beta_grid = tuple(
                 _as_float(b, "beta_grid") for b in _as_list(raw["beta_grid"], "beta_grid")
             )
-            snr_grid = tuple(_snr_from_beta(model, n, b, sigma) for b in beta_grid)
+            sd = _noise_sd(model, sigma)
+            # sigma = 0 is the noiseless shortcut (SNR = inf); where snr() is
+            # undefined otherwise, __post_init__ rejects n or sigma
+            snr_grid = tuple(
+                snr(n, b, sd) if sd > 0 and n >= 3 else math.inf for b in beta_grid
+            )
         else:
             raise ConfigError("field 'snr_grid': missing (or give beta_grid)")
         q_list = tuple(
@@ -272,7 +268,9 @@ class ExperimentConfig:
     def beta_at(self, grid_index: int) -> float:
         if self.beta_grid is not None:
             return self.beta_grid[grid_index]
-        return _beta_from_snr(self.model, self.n, self.snr_grid[grid_index], self.sigma)
+        return beta_for_snr(
+            self.n, self.snr_grid[grid_index], _noise_sd(self.model, self.sigma)
+        )
 
     def model_for(self, beta: float) -> ModelSpec:
         if self.model == POISSON_SQRT_LINEAR:
@@ -306,19 +304,10 @@ def _as_list(value, name: str) -> list:
     return list(value)
 
 
-def _beta_from_snr(model: str, n: int, snr_value: float, sigma: float) -> float:
-    # Gaussian-family SNR is n*beta^2/(4 sigma^2); Poisson SNR is n*beta^2.
-    if model == POISSON_SQRT_LINEAR:
-        return math.sqrt(snr_value / n)
-    return 2.0 * sigma * math.sqrt(snr_value / n)
-
-
-def _snr_from_beta(model: str, n: int, beta: float, sigma: float) -> float:
-    if model == POISSON_SQRT_LINEAR:
-        return n * beta * beta
-    if sigma == 0.0:
-        return math.inf
-    return n * beta * beta / (4.0 * sigma * sigma)
+def _noise_sd(model: str, sigma: float) -> float:
+    # Poisson SNR n*beta^2 is snr() at sd 1/2: sqrt of a Poisson count has
+    # sd about 1/2 on the square-root scale its means are linear on.
+    return 0.5 if model == POISSON_SQRT_LINEAR else sigma
 
 
 @dataclass(frozen=True)
@@ -417,26 +406,6 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_single, config, g, k) for g, k in tasks]
         return [f.result() for f in futures]
-
-
-def probe_beta_squared(
-    model: ModelSpec, space: RankSpace, n_pairs: int = 1000, seed: int = 0
-) -> float:
-    """Empirical signal constant beta^2 probed on random feasible rank pairs.
-
-    For ability vectors with no closed-form constant, beta^2 is taken as the
-    smallest observed gap ratio rather than assumed.
-    """
-    from .model import estimate_beta_squared
-
-    pairs = (
-        (
-            random_feasible_rank(space, derive_seed(seed, i, 0)).entries,
-            random_feasible_rank(space, derive_seed(seed, i, 1)).entries,
-        )
-        for i in range(n_pairs)
-    )
-    return estimate_beta_squared(model, pairs)
 
 
 def classify_regime(snr_value: float, n: int) -> str:

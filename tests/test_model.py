@@ -5,14 +5,12 @@ from rankphase import (
     InputError,
     InteractionMatrix,
     ModelSpec,
-    NoiseSpec,
     RankSpace,
     RankVector,
     beta_for_snr,
     build_mean_matrix,
     default_sum_budget,
     default_sumsq_budget,
-    estimate_beta_squared,
     identity_rank,
     loss,
     position_mean_table,
@@ -21,7 +19,11 @@ from rankphase import (
     snr,
     space_contains,
 )
+from rankphase import model as model_module
+from rankphase.model import space_argmin
 from rankphase.simulate import random_feasible_rank
+
+from conftest import enumerate_space
 
 
 class TestRankVector:
@@ -242,26 +244,44 @@ class TestInteractionMatrix:
             X.values[0, 1] = 5.0
 
 
-class TestNoiseSpec:
-    def test_validation(self):
-        NoiseSpec(family="gaussian", sigma=1.0)
-        NoiseSpec(family="poisson")
-        with pytest.raises(InputError):
-            NoiseSpec(family="gaussian", sigma=0.0)
-        with pytest.raises(InputError):
-            NoiseSpec(family="laplace")
+class TestSpaceArgmin:
+    # the independent enumerator of the test suite is the oracle; a chunk of
+    # 7 rows puts minimizers and exact ties on both sides of chunk boundaries
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_agrees_with_independent_enumeration(self, monkeypatch, rng, n, restricted):
+        monkeypatch.setattr(model_module, "ENUMERATION_CHUNK", 7)
+        c_n_sq = n if restricted else None
+        space = RankSpace(n, 2, c_n_sq)
+        expected = np.array(enumerate_space(n, 2, c_n_sq))
+        rows = np.arange(n)
+        for _ in range(20):
+            # integer costs per (object, position): exact sums, frequent ties
+            table = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+            blocks = []
 
+            def value(cand):
+                assert cand.shape[0] <= 7
+                blocks.append(cand.copy())
+                return table[rows, cand - 1].sum(axis=1)
 
-def test_estimate_beta_squared_parametric(rng):
-    n = 30
-    beta = 1.7
-    m = ModelSpec.parametric("differential", n, alpha=0.0, beta_tilde=beta)
-    space = RankSpace.default(n)
-    pairs = [
-        (random_feasible_rank(space, 2 * i).entries, random_feasible_rank(space, 2 * i + 1).entries)
-        for i in range(200)
-    ]
-    est = estimate_beta_squared(m, pairs)
-    c = space.c_n
-    assert est <= beta**2 * (1.0 + 1e-12)
-    assert est >= beta**2 * (1.0 - 4.0 * c * c / n) - 1e-9
+            r, v = space_argmin(space, value)
+            assert np.array_equal(np.concatenate(blocks), expected)
+            scan = table[rows, expected - 1].sum(axis=1)
+            first = int(np.argmin(scan))
+            assert list(r) == list(expected[first])
+            assert v == scan[first]
+
+    @pytest.mark.parametrize("targets", [(6, 7), (7, 13), (13,), (0, 27), (27,)])
+    def test_first_minimizer_across_chunk_boundaries(self, monkeypatch, targets):
+        monkeypatch.setattr(model_module, "ENUMERATION_CHUNK", 7)
+        space = RankSpace(4, 1)
+        expected = enumerate_space(4, 1)
+        index = {tuple(c): i for i, c in enumerate(expected)}
+
+        def value(cand):
+            return np.array([0.0 if index[tuple(c)] in targets else 1.0 for c in cand])
+
+        r, v = space_argmin(space, value)
+        assert list(r) == list(expected[min(targets)])
+        assert v == 0.0

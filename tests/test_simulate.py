@@ -9,6 +9,7 @@ from rankphase import (
     ModelSpec,
     RankSpace,
     ResultRow,
+    beta_for_snr,
     classify_regime,
     derive_seed,
     fit_regimes,
@@ -17,6 +18,7 @@ from rankphase import (
     random_feasible_rank,
     resolve_workers,
     run_experiment,
+    snr,
     space_contains,
     summarize_grid,
 )
@@ -177,6 +179,32 @@ class TestConfigValidation:
         )
         assert cfg.snr_grid[0] == pytest.approx(10 * 0.25 / 4.0)
 
+    def test_from_dict_beta_grid_edges(self):
+        base = dict(model="differential", beta_grid=[0.5], reps=1, master_seed=0,
+                    estimator="feature_match_oracle_theta")
+        cfg = ExperimentConfig.from_dict(dict(base, n=10, sigma=0.0))
+        assert cfg.snr_grid == (math.inf,)
+        for n in (2, 1, 0):
+            with pytest.raises(ConfigError, match="field 'n'"):
+                ExperimentConfig.from_dict(dict(base, n=n))
+        with pytest.raises(ConfigError, match="field 'sigma'"):
+            ExperimentConfig.from_dict(dict(base, n=10, sigma=-1.0))
+
+    @pytest.mark.parametrize("model, sd", [("differential", 1.3), ("additive", 1.3), ("poisson", 0.5)])
+    def test_snr_conversion_is_the_model_functions(self, model, sd):
+        # Poisson SNR n*beta^2 is the model's n*beta^2/(4 sigma^2) at sigma = 1/2
+        n, snrs, betas = 6, (1e-4, 0.37, 2.0, 13.82), (0.01, 0.4, 2.5)
+        base = dict(model=model, n=n, sigma=1.3, reps=1, master_seed=0, estimator="brute_force")
+        cfg = ExperimentConfig.from_dict(dict(base, snr_grid=list(snrs)))
+        for g, s in enumerate(snrs):
+            assert cfg.beta_at(g) == beta_for_snr(n, s, sd)
+            if model == "poisson":
+                assert cfg.beta_at(g) == math.sqrt(s / n)
+        cfg = ExperimentConfig.from_dict(dict(base, beta_grid=list(betas)))
+        assert cfg.snr_grid == tuple(snr(n, b, sd) for b in betas)
+        if model == "poisson":
+            assert cfg.snr_grid == tuple(n * b * b for b in betas)
+
 
 class TestRunExperiment:
     def test_noiseless_rows_all_zero(self):
@@ -323,12 +351,3 @@ class TestWorkers:
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         assert resolve_workers() >= 1
 
-
-def test_probe_beta_squared_parametric():
-    from rankphase import probe_beta_squared
-
-    m = ModelSpec.parametric("differential", 25, alpha=0.0, beta_tilde=1.4)
-    space = RankSpace.default(25)
-    est = probe_beta_squared(m, space, n_pairs=300, seed=2)
-    assert est <= 1.4**2 * (1 + 1e-12)
-    assert est >= 1.4**2 * (1 - 4 * space.c_n**2 / 25) - 1e-9
