@@ -284,7 +284,13 @@ def read_matrix_csv(path: Path) -> InteractionMatrix:
     return InteractionMatrix(values)
 
 
+def _require_positive(value: int, flag: str) -> None:
+    if value < 1:
+        raise InputError(f"{flag} must be >= 1")
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
+    _require_positive(args.max_iters, "--max-iters")
     X = read_matrix_csv(Path(args.input))
     n = X.n
     scores = score_adaptive(X, args.kind).values
@@ -309,6 +315,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         f"# pl={_fmt(pl)}",
         f"# iterations={trace.iterations}",
         f"# converged={'true' if trace.converged else 'false'}",
+        f"# stalled={'true' if trace.stalled else 'false'}",
+        f"# match_gap={_fmt(trace.match_gap)}",
         "index,rank",
     ]
     lines += [f"{i + 1},{rank.entries[i]}" for i in range(n)]
@@ -343,6 +351,7 @@ def _oracle_instance(n: int, idx: int, seed: int):
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     if not 3 <= args.n <= ENUMERATION_N_MAX:
         raise InputError(f"oracle-check needs 3 <= n <= {ENUMERATION_N_MAX}, got n={args.n}")
+    _require_positive(args.instances, "--instances")
     n, count, seed = args.n, args.instances, args.seed
     fm_matches = 0
     fm_worst = 0.0

@@ -18,7 +18,7 @@ class DegenerateFitError(RankPhaseError):
 
 
 class MatchBudgetError(RankPhaseError):
-    """The exact restricted matcher outgrew its dynamic program's budgets.
+    """The exact matcher outgrew its dynamic program's budgets.
 
     ``incumbent`` is a feasible rank vector and ``gap`` a certified bound on
     how far its objective may lie above the optimum.
@@ -26,7 +26,7 @@ class MatchBudgetError(RankPhaseError):
 
     def __init__(self, incumbent, gap: float):
         super().__init__(
-            "restricted matching outgrew the dynamic program's budgets; "
+            "matching outgrew the dynamic program's budgets; "
             f"the incumbent is within {gap:.3e} of optimal"
         )
         self.incumbent = incumbent

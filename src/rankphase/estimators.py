@@ -205,17 +205,16 @@ def profile_ls_estimate(
     space: RankSpace,
     init=None,
     max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = PL_CONVERGENCE_TOL,
 ) -> tuple[RankVector, IterationTrace]:
     """Minimize the profile least-squares objective by alternating steps.
 
     Each pass feature-matches the scores against the current linear
     surrogate a + b*k over the restricted space, then refits (a, b) by
-    least squares.  Stops when the objective decrease falls below ``tol``,
-    when a step would raise the objective, or after ``max_iters`` passes;
-    returns the best rank seen.  A matching step that outgrows the DP
-    budget continues from the feasible rank its MatchBudgetError carries,
-    and the trace keeps the largest certified gap.
+    least squares.  Stops when the objective decrease falls below
+    PL_CONVERGENCE_TOL, when a step would raise the objective, or after
+    ``max_iters`` passes; returns the best rank seen.  A matching step that
+    outgrows the DP budget continues from the feasible rank its
+    MatchBudgetError carries, and the trace keeps the largest certified gap.
     """
     if space.c_n_sq is None:
         raise InputError("profile_ls_estimate needs a restricted space (c_n_sq set)")
@@ -268,7 +267,7 @@ def profile_ls_estimate(
         if cand_pl <= prev_pl:
             r_cur = candidate
             path.append(cand_pl)
-            if prev_pl - cand_pl < tol:
+            if prev_pl - cand_pl < PL_CONVERGENCE_TOL:
                 converged = True
                 break
         else:

@@ -6,30 +6,30 @@ sum_i (S_i - theta_{r(i)})^2.  The feasible space couples the coordinates
 only through the sum budget |sum r - sum i| <= c_n and, for the restricted
 space, the additional |sum r^2 - sum i^2| <= c'_n.
 
-Solver ladder:
+Solver ladder, each step run only when the one before it leaves a budget
+violated:
 
-* Phase 1 picks the unconstrained per-coordinate nearest position (ties to
-  the smallest index).  If that already satisfies the budgets it is optimal.
-* For affine theta (theta_k linear in k) the per-coordinate costs are convex
-  in k, so a marginal-cost greedy projects the sum onto the nearest budget
-  boundary exactly; this is the fast path used at experiment scale.
-  Otherwise an exact dynamic program runs over the cumulative sum
-  deviation, restricted to states that are both reachable and completable
-  into the budget window.
-* A solution that is optimal over the sum-only space and happens to satisfy
-  the sum-of-squares budget is optimal over the restricted space too (the
-  restricted space is a subset), which keeps the fast path exact in the
-  common case.
-* When the sum-of-squares budget binds, a dynamic program over (sum
-  deviation, sum-of-squares deviation) solves the restricted problem.  If
-  the full box of those states fits the budgets below, it runs with every
-  position allowed.  Larger instances first get a Lagrangian lower bound
-  (both budgets relaxed, Hochbaum, Math. OR 19(2), 1994), and the same DP
-  then runs only over positions and partial assignments whose reduced cost
-  stays within a band tau.  tau widens until the best rank in the band is
-  within tau of the bound, which proves it optimal.  A band that outgrows
-  the budgets raises MatchBudgetError with a feasible rank and its
-  certified gap; no branch returns an uncertified answer.
+* The unconstrained per-coordinate nearest position (ties to the smallest
+  index).  If that already satisfies the budgets it is optimal.
+* The sum budget alone.  For affine theta (theta_k linear in k) the
+  per-coordinate costs are convex in k, so a marginal-cost greedy projects
+  the sum onto the nearest budget boundary exactly; this is the fast path
+  used at experiment scale.  Otherwise the band match below runs over the
+  sum-only space.  A solution that is optimal over the sum-only space and
+  happens to satisfy the sum-of-squares budget is optimal over the
+  restricted space too (the restricted space is a subset), which keeps
+  this step exact in the common case.
+* When the sum-of-squares budget binds, the band match over the restricted
+  space.
+
+The band match takes a Lagrangian lower bound (the budgets relaxed,
+Hochbaum, Math. OR 19(2), 1994) and runs one dynamic program over (sum
+deviation, sum-of-squares deviation), the latter pinned at 0 in a sum-only
+space, only over positions and partial assignments whose reduced cost stays
+within a band tau.  tau widens until the best rank in the band is within
+tau of the bound, which proves it optimal.  A band that outgrows the
+budgets raises MatchBudgetError with a feasible rank and its certified
+gap; no branch returns an uncertified answer.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import InputError, MatchBudgetError, RankPhaseError
 from .model import RankSpace, space_argmin
 
-# Budgets for the dynamic programs: total number of states, and transitions
+# Budgets for the dynamic program: total number of states, and transitions
 # (states times the positions each may move to).
 DP_STATE_BUDGET = 5_000_000
 DP_OP_BUDGET = 500_000_000
@@ -159,76 +159,6 @@ def _window_bounds(
     return lo, hi
 
 
-def _dp_match_sum(S: np.ndarray, theta: np.ndarray, c: int) -> np.ndarray | None:
-    """Exact DP over cumulative sum deviation.  None if over budget."""
-    n = S.shape[0]
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    lo, hi = _window_bounds(1 - idx, n - idx, c)
-    widths = hi - lo + 1
-    states = int(widths.sum())
-    if states > DP_STATE_BUDGET or states * n > DP_OP_BUDGET:
-        return None
-    cost = (S[:, None] - theta[None, :]) ** 2
-
-    dp_prev: np.ndarray | None = None
-    choices: list[np.ndarray] = []
-    for i in range(n):
-        w = int(widths[i])
-        dp = np.full(w, np.inf)
-        ch = np.zeros(w, dtype=np.int16)
-        for k in range(1, n + 1):
-            s = k - (i + 1)
-            if i == 0:
-                if lo[0] <= s <= hi[0]:
-                    j = s - lo[0]
-                    if cost[0, k - 1] < dp[j]:
-                        dp[j] = cost[0, k - 1]
-                        ch[j] = k
-                continue
-            d_lo = max(int(lo[i]), int(lo[i - 1]) + s)
-            d_hi = min(int(hi[i]), int(hi[i - 1]) + s)
-            if d_lo > d_hi:
-                continue
-            dst = slice(d_lo - int(lo[i]), d_hi - int(lo[i]) + 1)
-            src = slice(d_lo - s - int(lo[i - 1]), d_hi - s - int(lo[i - 1]) + 1)
-            cand = dp_prev[src] + cost[i, k - 1]
-            better = cand < dp[dst]
-            dp[dst] = np.where(better, cand, dp[dst])
-            ch[dst][better] = k
-        choices.append(ch)
-        dp_prev = dp
-
-    f_lo = max(int(lo[n - 1]), -c)
-    f_hi = min(int(hi[n - 1]), c)
-    best_d, best_cost = None, np.inf
-    for d in range(f_lo, f_hi + 1):
-        v = dp_prev[d - int(lo[n - 1])]
-        if v < best_cost:
-            best_cost, best_d = v, d
-    if best_d is None or not np.isfinite(best_cost):
-        raise RankPhaseError("sum DP found no feasible state")
-
-    r = np.zeros(n, dtype=np.int64)
-    d = best_d
-    for i in range(n - 1, -1, -1):
-        k = int(choices[i][d - int(lo[i])])
-        if k == 0:
-            raise RankPhaseError("sum DP backtrack hit an unreached state")
-        r[i] = k
-        d -= k - (i + 1)
-    return r
-
-
-def _restricted_box_fits(space: RankSpace) -> bool:
-    """True when the full (sum, sum-of-squares) deviation box fits the DP budgets."""
-    n = space.n
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    lo1, hi1 = _window_bounds(1 - idx, n - idx, space.c_n)
-    lo2, hi2 = _window_bounds(1 - idx**2, n * n - idx**2, space.c_n_sq)
-    cells = int(np.sum((hi1 - lo1 + 1) * (hi2 - lo2 + 1)))
-    return cells <= DP_STATE_BUDGET and cells * n <= DP_OP_BUDGET
-
-
 def _keep_cheapest(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
     """Merge DP transitions into one state per key, keeping the cheapest.
 
@@ -253,29 +183,29 @@ def _keep_cheapest(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...
     return tuple(column[order] for column in merged)
 
 
-def _dp_match_restricted(
-    S: np.ndarray,
-    theta: np.ndarray,
+def _dp_match(
+    cost: np.ndarray,
     space: RankSpace,
     reduced: np.ndarray | None = None,
     tau: float = np.inf,
 ) -> np.ndarray | None:
     """Exact DP over (sum deviation, sum-of-squares deviation) on a reduced-cost band.
 
-    Coordinate i may take position k only when reduced[i, k-1] <= tau, and a
-    partial assignment is kept only while its accumulated reduced cost is at
-    most tau.  reduced=None allows every position and state: the full DP.
-    Only reachable states are stored, sorted by (sum, sum-of-squares)
-    deviation.  Returns the cheapest feasible rank in the band, with ties
-    going to the smallest position at each state and then to the smallest
-    final deviations, or None if the band holds no feasible rank.  Raises
+    cost[i, k-1] is coordinate i's cost at position k.  In a sum-only space
+    the sum-of-squares deviation is pinned at 0.  Coordinate i may take
+    position k only when reduced[i, k-1] <= tau, and a partial assignment is
+    kept only while its accumulated reduced cost is at most tau.
+    reduced=None allows every position and state: the full DP.  Only
+    reachable states are stored, sorted by (sum, sum-of-squares) deviation.
+    Returns the cheapest feasible rank in the band, with ties going to the
+    smallest position at each state and then to the smallest final
+    deviations, or None if the band holds no feasible rank.  Raises
     MatchBudgetError, without an incumbent, if the live states exceed
     DP_STATE_BUDGET or the transitions DP_OP_BUDGET.
     """
     n = space.n
-    c, csq = space.c_n, space.c_n_sq
-    assert csq is not None
-    cost = (S[:, None] - theta[None, :]) ** 2
+    c = space.c_n
+    csq = 0 if space.c_n_sq is None else space.c_n_sq
     if reduced is None:
         reduced = np.zeros_like(cost)
     allowed = reduced <= tau
@@ -284,6 +214,8 @@ def _dp_match_restricted(
     idx = np.arange(1, n + 1, dtype=np.int64)
     step1 = idx[None, :] - idx[:, None]
     step2 = idx[None, :] ** 2 - idx[:, None] ** 2
+    if space.c_n_sq is None:
+        step2 = np.zeros_like(step2)
     big = np.iinfo(np.int64).max // 4
 
     def band_window(step, budget):
@@ -309,8 +241,8 @@ def _dp_match_restricted(
             # one position: every state shifts alike and stays sorted and
             # distinct; the window and band checks wait for a later row
             k = int(ks[0])
-            dev1 = dev1 + (k - i)
-            dev2 = dev2 + ((k + 1) ** 2 - (i + 1) ** 2)
+            dev1 = dev1 + step1[i, k]
+            dev2 = dev2 + step2[i, k]
             val = val + cost[i, k]
             red = red + reduced[i, k]
             parents.append(None)
@@ -323,7 +255,7 @@ def _dp_match_restricted(
         parts: list[tuple[np.ndarray, ...]] = []
         merged = size = 0
         for k in ks.tolist():
-            s1, s2 = k - i, (k + 1) ** 2 - (i + 1) ** 2
+            s1, s2 = int(step1[i, k]), int(step2[i, k])
             # dev1 is sorted, so the states landing in its window form a slice
             a = int(np.searchsorted(dev1, lo1[i] - s1, side="left"))
             b = int(np.searchsorted(dev1, hi1[i] - s1, side="right"))
@@ -433,7 +365,7 @@ def _budget_slope(x: float, dev: float, budget: int) -> float:
 
 
 def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
-    """Lower bound on the restricted matching objective by Lagrangian relaxation.
+    """Lower bound on the matching objective by Lagrangian relaxation.
 
     Relaxing the sum-of-squares budget with multiplier lam and the sum
     budget with mu separates the coordinates: row i takes the argmin over k
@@ -442,7 +374,8 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     that argmin as supergradients (Hochbaum, Math. OR 19(2), 1994).  mu is
     maximized for each lam; at the breakpoint the two bracketing argmins
     are both optimal, and the mix of them that zeroes the mu slope gives
-    the lam slope for the outer search.
+    the lam slope for the outer search.  A sum-only space has no
+    sum-of-squares budget to relax, so lam stays at 0.
 
     Returns (lower bound, reduced costs at the best multipliers, slack,
     incumbent): reduced costs are the excess over each row's minimum,
@@ -450,7 +383,8 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     feasible row-wise argmin met (the identity rank if none was).
     """
     n = space.n
-    c, csq = space.c_n, space.c_n_sq
+    c = space.c_n
+    csq = 0 if space.c_n_sq is None else space.c_n_sq
     t1, t2 = space.identity_sum(), space.identity_sumsq()
     pos = np.arange(1, n + 1, dtype=np.float64)
     rows = np.arange(n)
@@ -468,7 +402,7 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
             r = k + 1
             value = float(np.sum(a[rows, k])) - lam * t2 - mu * t1 - abs(lam) * csq - abs(mu) * c
             dev1 = int(r.sum()) - t1
-            dev2 = int(r @ r) - t2
+            dev2 = 0 if space.c_n_sq is None else int(r @ r) - t2
             if value > best[0]:
                 best = (value, lam, mu)
             if abs(dev1) <= c and abs(dev2) <= csq:
@@ -487,7 +421,10 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
 
     # multipliers act on the costs within a row, so they scale with its spread
     spread = float(np.max(cost.max(axis=1) - cost.min(axis=1))) or 1.0
-    _maximize_concave(over_mu, spread / (n * n))
+    if space.c_n_sq is None:
+        over_mu(0.0)
+    else:
+        _maximize_concave(over_mu, spread / (n * n))
     lb, lam, mu = best
     a = cost + lam * pos * pos + mu * pos
     reduced = a - a.min(axis=1, keepdims=True)
@@ -495,8 +432,8 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     return lb, reduced, slack, incumbent
 
 
-def _restricted_band_match(S: np.ndarray, theta: np.ndarray, space: RankSpace) -> np.ndarray:
-    """Exact restricted matching for instances beyond the full DP box.
+def _band_match(cost: np.ndarray, space: RankSpace) -> np.ndarray:
+    """Exact matching by the DP on a widening band of Lagrangian reduced costs.
 
     Every feasible r satisfies cost(r) >= LB + (sum of its reduced costs),
     so no rank outside the band of reduced-cost sum tau beats LB + tau.
@@ -508,7 +445,6 @@ def _restricted_band_match(S: np.ndarray, theta: np.ndarray, space: RankSpace) -
     """
     n = space.n
     rows = np.arange(n)
-    cost = (S[:, None] - theta[None, :]) ** 2
     # bound and gaps are taken on each row's excess over its minimum, which
     # keeps their precision when the costs are large but nearly flat
     excess = cost - cost.min(axis=1, keepdims=True)
@@ -518,7 +454,7 @@ def _restricted_band_match(S: np.ndarray, theta: np.ndarray, space: RankSpace) -
     tau = min(gap / 64.0, float(np.median(second)))
     while gap > 0.0:
         try:
-            banded = _dp_match_restricted(S, theta, space, reduced, tau + slack)
+            banded = _dp_match(cost, space, reduced, tau + slack)
         except MatchBudgetError:
             raise MatchBudgetError(incumbent, gap) from None
         if banded is not None:
@@ -534,10 +470,11 @@ def _restricted_band_match(S: np.ndarray, theta: np.ndarray, space: RankSpace) -
 def feature_match(scores, theta, space: RankSpace) -> np.ndarray:
     """Minimize sum_i (S_i - theta_{r(i)})^2 over the rank space.
 
-    Returns the optimal rank entries as an int64 array; see the module
-    docstring for the solver ladder.  Raises MatchBudgetError, carrying a
-    feasible rank and its certified optimality gap, when a restricted
-    instance outgrows the dynamic program's budgets.
+    Returns the optimal rank entries as an int64 array.  Ladder (module
+    docstring): nearest position; greedy for affine theta, else the band
+    match over the sum-only space; the band match over the restricted
+    space.  Raises MatchBudgetError, carrying a feasible rank and its
+    certified optimality gap, when a band outgrows the DP budgets.
     """
     n = space.n
     S = _score_array(scores, n)
@@ -548,25 +485,24 @@ def feature_match(scores, theta, space: RankSpace) -> np.ndarray:
     if abs(dev1) <= space.c_n and (space.c_n_sq is None or abs(dev2) <= space.c_n_sq):
         return u
 
-    affine = is_affine(th)
-    if affine:
-        r1 = _greedy_sum_repair(S, th, u, space.c_n)
+    if is_affine(th):
+        r1, cost = _greedy_sum_repair(S, th, u, space.c_n), None
     else:
-        r1 = _dp_match_sum(S, th, space.c_n)
-        if r1 is None:
-            raise InputError(
-                "feature_match: instance too large for the exact dynamic program "
-                "with a non-affine ability vector"
-            )
+        cost = (S[:, None] - th[None, :]) ** 2
+        try:
+            r1 = _band_match(cost, RankSpace(n, space.c_n))
+        except MatchBudgetError:
+            if space.c_n_sq is None:
+                raise
+            r1 = None  # its incumbent may break the sum-of-squares budget
     if space.c_n_sq is None:
         return r1
-    _, dev2 = _devs(r1, space)
-    if abs(dev2) <= space.c_n_sq:
+    if r1 is not None and abs(_devs(r1, space)[1]) <= space.c_n_sq:
         # optimal over the sum-only superset and feasible here, hence optimal
         return r1
-    if _restricted_box_fits(space):
-        return _dp_match_restricted(S, th, space)
-    return _restricted_band_match(S, th, space)
+    if cost is None:
+        cost = (S[:, None] - th[None, :]) ** 2
+    return _band_match(cost, space)
 
 
 def exhaustive_feature_match(scores, theta, space: RankSpace) -> tuple[np.ndarray, float]:

@@ -111,21 +111,21 @@ def generate_poisson(model: ModelSpec, r, seed: int) -> PoissonCounts:
     return PoissonCounts(rng.poisson(mu))
 
 
-def random_feasible_rank(space: RankSpace, seed: int, perturb_steps: int | None = None) -> RankVector:
-    """A random member of the space: random permutation plus accepted +-1 moves.
+def random_feasible_rank(space: RankSpace, seed: int) -> RankVector:
+    """A random member of the space: random permutation plus 2n accepted +-1 moves.
 
     Every candidate move is accepted only if both budgets still hold, so the
-    result is feasible by construction; with zero perturbation steps the
-    output is a uniform random permutation.
+    result is feasible by construction.
     """
     n = space.n
     rng = np.random.default_rng(seed)
     r = (rng.permutation(n) + 1).astype(np.int64)
-    steps = 2 * n if perturb_steps is None else int(perturb_steps)
+    # one (coordinate, direction) pair per move, drawn in the order a move
+    # at a time would draw them
+    moves = rng.integers(0, np.tile([n, 2], 2 * n)).reshape(-1, 2).tolist()
     dev1, dev2 = 0, 0
-    for _ in range(steps):
-        i = int(rng.integers(0, n))
-        d = 1 if int(rng.integers(0, 2)) else -1
+    for i, up in moves:
+        d = 1 if up else -1
         cand = r[i] + d
         if cand < 1 or cand > n:
             continue

@@ -220,6 +220,38 @@ class TestEstimateCommand:
         ranks = [int(l.split(",")[1]) for l in out.read_text().splitlines() if l and l[0].isdigit()]
         assert ranks == list(range(1, n + 1))
 
+    def test_reports_stalled_and_match_gap(self, tmp_path, monkeypatch):
+        from rankphase import matching
+
+        def header(out):
+            lines = out.read_text().splitlines()
+            return dict(l[2:].split("=", 1) for l in lines if l.startswith("# "))
+
+        n = 30
+        values = np.random.default_rng(0).normal(0.0, 1.0, (n, n))
+        path = write_matrix(tmp_path, values)
+        out = tmp_path / "est.txt"
+        argv = ["estimate", "--input", str(path), "--kind", "comparison", "--out", str(out)]
+        assert main(argv) == 0
+        exact = header(out)
+        assert (exact["stalled"], exact["match_gap"]) == ("false", "0")
+        # a matching step over the DP budget leaves a certified gap
+        monkeypatch.setattr(matching, "DP_STATE_BUDGET", 50)
+        assert main(argv) == 0
+        bounded = header(out)
+        assert bounded["stalled"] in ("true", "false")
+        assert float(bounded["match_gap"]) > 0.0
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_max_iters_exit_2(self, tmp_path, capsys, value):
+        m = ModelSpec.parametric("differential", 6, alpha=1.0, beta_tilde=2.0)
+        path = write_matrix(tmp_path, build_mean_matrix(m, np.arange(1, 7)))
+        out = tmp_path / "est.txt"
+        argv = ["estimate", "--input", str(path), "--kind", "comparison", "--out", str(out)]
+        assert main(argv + ["--max-iters", value]) == 2
+        assert "error: --max-iters must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_symmetric_input_degenerate_exit_1(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         raw = rng.normal(0, 1, (5, 5))
@@ -269,6 +301,13 @@ class TestOracleCheckCommand:
     def test_large_n_refused(self):
         assert main(["oracle-check", "--n", "7", "--instances", "5"]) == 2
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_instances_exit_2(self, capsys, value):
+        assert main(["oracle-check", "--n", "4", "--instances", value]) == 2
+        captured = capsys.readouterr()
+        assert "error: --instances must be >= 1" in captured.err
+        assert captured.out == ""
+
 
 class TestVerifyCommand:
     def test_passes_on_fresh_checkout(self, capsys):
@@ -286,40 +325,34 @@ class TestVerifyCommand:
         assert main(["verify", "--fail-inject", "no-such-identity"]) == 2
 
 
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's rankphase."""
+    import os
+    import subprocess
+    import sys
+
+    import rankphase
+
+    src = str(Path(rankphase.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 class TestSubprocessEntryPoint:
     def test_module_invocation(self, tmp_path):
-        import subprocess
-        import sys
-
         cfg = write_config(tmp_path, reps=1, q_list=[2])
         out = tmp_path / "rows.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "rankphase.cli", "simulate",
-             "--config", str(cfg), "--out", str(out)],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "rankphase.cli", "simulate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().splitlines()[0] == CSV_HEADER
 
     def test_usage_error_exit_2(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "rankphase.cli", "simulate"],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "rankphase.cli", "simulate")
         assert proc.returncode == 2
 
     def test_cli_import_leaves_scipy_unloaded(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, rankphase.cli; print('scipy' in sys.modules)"],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-c", "import sys, rankphase.cli; print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 

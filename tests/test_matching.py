@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from rankphase import InputError, RankSpace, matching, space_contains
 from rankphase.errors import MatchBudgetError
 from rankphase.matching import (
-    _dp_match_restricted,
-    _dp_match_sum,
-    _restricted_band_match,
-    _restricted_box_fits,
+    _band_match,
+    _dp_match,
     exhaustive_feature_match,
     feature_match,
     is_affine,
@@ -17,6 +15,10 @@ from rankphase.matching import (
 )
 
 from conftest import brute_force_match
+
+
+def _cost(scores, theta):
+    return (scores[:, None] - theta[None, :]) ** 2
 
 
 def _random_instance(rng, n, affine):
@@ -89,7 +91,7 @@ def test_greedy_agrees_with_dp_on_affine(rng):
         scores = rng.normal(0.0, float(rng.uniform(0.5, 4.0)), n)
         space = RankSpace(n, c)
         r_fast = feature_match(scores, theta, space)
-        r_dp = _dp_match_sum(scores.astype(float), theta.astype(float), c)
+        r_dp = _dp_match(_cost(scores, theta), space)
         assert space_contains(space, r_fast)
         assert match_objective(scores, theta, r_fast) == match_objective(scores, theta, r_dp)
 
@@ -101,7 +103,7 @@ def test_restricted_dp_agrees_with_enumeration(rng):
         csq = int(rng.integers(2, n * n))
         space = RankSpace(n, c, csq)
         scores, theta = _random_instance(rng, n, affine=False)
-        r = _dp_match_restricted(scores.astype(float), theta.astype(float), space)
+        r = _dp_match(_cost(scores, theta), space)
         assert r is not None
         assert space_contains(space, r)
         _, best = brute_force_match(scores, theta, n, c, csq)
@@ -210,7 +212,7 @@ def _restricted_instances(draw):
 @given(_restricted_instances())
 def test_band_match_agrees_with_enumeration(instance):
     scores, theta, space = instance
-    r = _restricted_band_match(scores, theta, space)
+    r = _band_match(_cost(scores, theta), space)
     assert space_contains(space, r)
     _, best = exhaustive_feature_match(scores, theta, space)
     assert match_objective(scores, theta, r) == best
@@ -218,15 +220,14 @@ def test_band_match_agrees_with_enumeration(instance):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_band_match_equals_full_dp_at_n21(monkeypatch, seed):
-    # n = 21 is the first size whose full DP box is over the default budget
+    # the full DP over n = 21 needs more than the default budget
     space = RankSpace.default_restricted(21)
-    assert not _restricted_box_fits(space)
     theta = 0.01 + 0.003 * np.arange(1, 22)
     scores = np.random.default_rng(seed).normal(0.0, 0.05, 21)
     r = feature_match(scores, theta, space)
     monkeypatch.setattr(matching, "DP_STATE_BUDGET", 50_000_000)
     monkeypatch.setattr(matching, "DP_OP_BUDGET", 5_000_000_000)
-    assert list(r) == list(_dp_match_restricted(scores, theta, space))
+    assert list(r) == list(_dp_match(_cost(scores, theta), space))
 
 
 def test_band_match_on_nearly_flat_costs():
@@ -237,8 +238,8 @@ def test_band_match_on_nearly_flat_costs():
         space = RankSpace(n, 2, n)
         theta = 0.3 + 1e-12 * np.arange(1, n + 1)
         scores = rng.normal(0.0, 1.0, n)
-        r = _restricted_band_match(scores, theta, space)
-        full = _dp_match_restricted(scores, theta, space)
+        r = _band_match(_cost(scores, theta), space)
+        full = _dp_match(_cost(scores, theta), space)
         assert match_objective(scores, theta, r) == match_objective(scores, theta, full)
     space = RankSpace.default_restricted(100)
     theta = 0.3 + 1e-12 * np.arange(1, 101)
@@ -254,6 +255,60 @@ def test_budget_error_carries_certified_incumbent(monkeypatch):
     scores = rng.normal(0.0, 0.05, n)
     best = match_objective(scores, theta, feature_match(scores, theta, space))
     monkeypatch.setattr(matching, "DP_STATE_BUDGET", 50)
+    with pytest.raises(MatchBudgetError) as info:
+        feature_match(scores, theta, space)
+    incumbent, gap = info.value.incumbent, info.value.gap
+    assert space_contains(space, incumbent)
+    assert gap >= 0.0
+    obj = match_objective(scores, theta, incumbent)
+    assert best <= obj <= best + gap + 1e-12
+
+
+def test_band_match_equals_full_dp_where_sumsq_binds():
+    # binding sum-of-squares budgets up to the sizes the full DP solves in
+    # about a second: the band must reach the full DP's optimum
+    rng = np.random.default_rng(20260812)
+    for n in range(7, 21):
+        while True:
+            space = RankSpace(n, int(rng.integers(1, 4)), int(rng.integers(0, 2 * n)))
+            scores, theta = _random_instance(rng, n, affine=bool(n % 2))
+            cost = _cost(scores, theta)
+            r_sum = _dp_match(cost, RankSpace(n, space.c_n))
+            if abs(int(r_sum @ r_sum) - space.identity_sumsq()) > space.c_n_sq:
+                break
+        r = feature_match(scores, theta, space)
+        assert space_contains(space, r)
+        full = _dp_match(cost, space)
+        assert match_objective(scores, theta, r) == match_objective(scores, theta, full)
+
+
+@pytest.mark.parametrize("n", [40, 100])
+def test_sum_only_band_equals_full_dp(monkeypatch, n):
+    # non-affine theta over a sum-only space takes the band, not the greedy
+    rng = np.random.default_rng(n)
+    space = RankSpace.default(n)
+    scores, theta = _random_instance(rng, n, affine=False)
+    assert not space_contains(space, matching._unconstrained(scores, theta))
+    r = feature_match(scores, theta, space)
+    assert space_contains(space, r)
+    monkeypatch.setattr(matching, "DP_STATE_BUDGET", 50_000_000)
+    monkeypatch.setattr(matching, "DP_OP_BUDGET", 5_000_000_000)
+    full = _dp_match(_cost(scores, theta), space)
+    assert match_objective(scores, theta, r) == match_objective(scores, theta, full)
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_budget_error_on_non_affine_theta(monkeypatch, restricted):
+    # over budget, a non-affine instance still yields a certified incumbent;
+    # the sum-only step's incumbent here breaks the sum-of-squares budget, so
+    # the restricted space must take its own band's incumbent instead
+    rng = np.random.default_rng(13)
+    n = 50
+    space = RankSpace(n, 2, n) if restricted else RankSpace(n, 2)
+    theta = np.sort(rng.normal(0.0, 2.0, n))
+    scores = rng.normal(0.0, 2.0, n)
+    best = match_objective(scores, theta, feature_match(scores, theta, space))
+    monkeypatch.setattr(matching, "DP_STATE_BUDGET", 100)
     with pytest.raises(MatchBudgetError) as info:
         feature_match(scores, theta, space)
     incumbent, gap = info.value.incumbent, info.value.gap

@@ -107,10 +107,33 @@ class TestRandomFeasibleRank:
             base = RankSpace.default(11)
             assert space_contains(base, random_feasible_rank(base, seed))
 
-    def test_zero_steps_is_permutation(self):
-        space = RankSpace.default(9)
-        r = random_feasible_rank(space, 3, perturb_steps=0).entries
-        assert sorted(r) == list(range(1, 10))
+    def test_matches_move_at_a_time_draws(self):
+        # reference: each move draws its coordinate, then its direction
+        def reference(space, seed):
+            n = space.n
+            rng = np.random.default_rng(seed)
+            r = (rng.permutation(n) + 1).astype(np.int64)
+            dev1 = dev2 = 0
+            for _ in range(2 * n):
+                i = int(rng.integers(0, n))
+                d = 1 if int(rng.integers(0, 2)) else -1
+                cand = r[i] + d
+                ndev1 = dev1 + d
+                ndev2 = dev2 + 2 * int(r[i]) * d + 1
+                if not 1 <= cand <= n or abs(ndev1) > space.c_n:
+                    continue
+                if space.c_n_sq is not None and abs(ndev2) > space.c_n_sq:
+                    continue
+                r[i] = cand
+                dev1, dev2 = ndev1, ndev2
+            return r
+
+        for n in (2, 3, 7, 11, 30):
+            spaces = (RankSpace.default(n), RankSpace.default_restricted(n), RankSpace(n, 1, 0))
+            for space in spaces:
+                for seed in range(40):
+                    expected = reference(space, seed)
+                    assert list(random_feasible_rank(space, seed).entries) == list(expected)
 
     def test_tie_fraction(self):
         space = RankSpace.default(10)
