@@ -44,6 +44,13 @@ from .simulate import (
 from .verify import CHECKS, run_identity_suite
 
 CSV_HEADER = "model,n,snr,beta,sigma,estimator,q,rep,seed,loss,exact_recovery,iters,wall_time_ms"
+# Each column of CSV_HEADER with the parser it is read back with.
+_CSV_COLUMNS = tuple(
+    zip(
+        CSV_HEADER.split(","),
+        (str, int, float, float, float, str, float, int, int, float, str, int, float),
+    )
+)
 
 
 def _fmt(x: float) -> str:
@@ -83,37 +90,54 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 def read_rows_csv(path: Path) -> list[ResultRow]:
     """Parse a result CSV back into rows (used by phase-diagram --from-results)."""
-    text = path.read_text()
-    lines = [ln.rstrip("\r") for ln in text.split("\n") if ln.strip("\r")]
-    if not lines or lines[0] != CSV_HEADER:
+    try:
+        text = path.read_text()
+    except FileNotFoundError as exc:
+        raise InputError(f"results file not found: {path}") from exc
+    lines = [
+        (lineno, ln.rstrip("\r"))
+        for lineno, ln in enumerate(text.split("\n"), start=1)
+        if ln.strip("\r")
+    ]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise InputError(f"{path}: missing or unexpected result CSV header")
     grouped: dict[tuple, dict] = {}
     snr_order: list[float] = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 13:
-            raise InputError(f"{path}: malformed result row: {ln!r}")
-        model, n_s, snr_s, beta_s, sigma_s, est, q_s, rep_s, seed_s, loss_s, ex_s, it_s, wall_s = parts
-        snr = float(snr_s)
+        if len(parts) != len(_CSV_COLUMNS):
+            raise InputError(f"{path}: line {lineno}: malformed result row: {ln!r}")
+        values = []
+        for (column, kind), cell in zip(_CSV_COLUMNS, parts):
+            where = f"{path}: line {lineno}, column {column}"
+            try:
+                value = kind(cell)
+            except ValueError as exc:
+                raise InputError(f"{where}: unparseable value {cell!r}") from exc
+            # inf is written for a noiseless grid point (sigma = 0); NaN is
+            # never written, and rows holding it could not be grouped
+            if kind is float and math.isnan(value):
+                raise InputError(f"{where}: NaN value {cell!r}")
+            values.append(value)
+        model, n, snr, beta, sigma, est, q, rep, seed, lv, exact, iters, wall = values
         if snr not in snr_order:
             snr_order.append(snr)
-        key = (model, int(n_s), snr, int(rep_s))
         rec = grouped.setdefault(
-            key,
+            (model, n, snr, rep),
             {
-                "beta": float(beta_s),
-                "sigma": float(sigma_s),
+                "beta": beta,
+                "sigma": sigma,
                 "estimator": est,
-                "seed": int(seed_s),
-                "exact": ex_s == "1",
-                "iters": int(it_s),
-                "wall": float(wall_s),
+                "seed": seed,
+                "exact": exact == "1",
+                "iters": iters,
+                "wall": wall,
                 "qs": [],
                 "losses": [],
             },
         )
-        rec["qs"].append(float(q_s))
-        rec["losses"].append(float(loss_s))
+        rec["qs"].append(q)
+        rec["losses"].append(lv)
     rows = []
     for (model, n, snr, rep), rec in grouped.items():
         rows.append(

@@ -12,6 +12,7 @@ numerical oracles elsewhere in the package, and the SNR/beta conversion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,8 +29,12 @@ MODEL_KINDS = (DIFFERENTIAL, ADDITIVE, POISSON_SQRT_LINEAR)
 
 # Largest n whose rank space is enumerated (6^6 = 46,656 vectors), and the
 # number of candidates evaluated per call of the caller's value function.
+# At n = 6 a block of 1024 keeps a value function's (k, n, n) float64
+# temporaries near 300 KB, which the allocator reuses from block to block;
+# blocks of 8192 were page-faulted afresh each time, and two worker threads
+# faulting at once doubled and scattered the time of a Poisson MLE call.
 ENUMERATION_N_MAX = 6
-ENUMERATION_CHUNK = 8192
+ENUMERATION_CHUNK = 1024
 
 
 def identity_rank(n: int) -> np.ndarray:
@@ -160,6 +165,22 @@ def space_contains(space: RankSpace, r) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=8)
+def _space_members(space: RankSpace) -> np.ndarray:
+    """Every rank vector of the space in lexicographic order, as a read-only (k, n) array.
+
+    Built once per space (about 3 ms at n = 6) and shared by every call.
+    """
+    n = space.n
+    cand = np.indices((n,) * n, dtype=np.int64).reshape(n, -1).T + 1
+    keep = np.abs(cand.sum(axis=1) - space.identity_sum()) <= space.c_n
+    if space.c_n_sq is not None:
+        keep &= np.abs((cand * cand).sum(axis=1) - space.identity_sumsq()) <= space.c_n_sq
+    cand = cand[keep]
+    cand.setflags(write=False)
+    return cand
+
+
 def space_argmin(
     space: RankSpace, value: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, float]:
@@ -170,14 +191,9 @@ def space_argmin(
     rows; ``value`` returns the k per-candidate values.  Refuses
     n > ENUMERATION_N_MAX.
     """
-    n = space.n
-    if n > ENUMERATION_N_MAX:
-        raise InputError(f"enumeration refused for n={n} > {ENUMERATION_N_MAX}")
-    cand = np.indices((n,) * n, dtype=np.int64).reshape(n, -1).T + 1
-    keep = np.abs(cand.sum(axis=1) - space.identity_sum()) <= space.c_n
-    if space.c_n_sq is not None:
-        keep &= np.abs((cand * cand).sum(axis=1) - space.identity_sumsq()) <= space.c_n_sq
-    cand = cand[keep]
+    if space.n > ENUMERATION_N_MAX:
+        raise InputError(f"enumeration refused for n={space.n} > {ENUMERATION_N_MAX}")
+    cand = _space_members(space)
     best_idx, best_val = 0, math.inf
     for start in range(0, cand.shape[0], ENUMERATION_CHUNK):
         vals = value(cand[start : start + ENUMERATION_CHUNK])
@@ -297,32 +313,29 @@ class InteractionMatrix:
         return v
 
 
+def _pair_means(kind: str, th: np.ndarray) -> np.ndarray:
+    """The mean structure ``kind`` over every pair (th_a, th_b) of abilities."""
+    if kind == DIFFERENTIAL:
+        return th[:, None] - th[None, :]
+    if kind == ADDITIVE:
+        return th[:, None] + th[None, :]
+    s = th[:, None] + th[None, :]
+    return s * s
+
+
 def position_mean_table(model: ModelSpec) -> np.ndarray:
     """Means mu_{ab} for every pair of latent positions a, b in [n].
 
     Unlike build_mean_matrix this table has no masked diagonal: mu_{aa} is a
     legitimate mean when two distinct objects share the position a.
     """
-    th = model.theta
-    if model.kind == DIFFERENTIAL:
-        return th[:, None] - th[None, :]
-    if model.kind == ADDITIVE:
-        return th[:, None] + th[None, :]
-    s = th[:, None] + th[None, :]
-    return s * s
+    return _pair_means(model.kind, model.theta)
 
 
 def build_mean_matrix(model: ModelSpec, r) -> np.ndarray:
     """The n x n mean matrix mu_{r(i)r(j)} with a NaN-masked diagonal."""
     arr = rank_entries(r, model.n)
-    th = model.theta[arr - 1]
-    if model.kind == DIFFERENTIAL:
-        mu = th[:, None] - th[None, :]
-    elif model.kind == ADDITIVE:
-        mu = th[:, None] + th[None, :]
-    else:
-        s = th[:, None] + th[None, :]
-        mu = s * s
+    mu = _pair_means(model.kind, model.theta[arr - 1])
     np.fill_diagonal(mu, np.nan)
     return mu
 

@@ -158,6 +158,36 @@ class TestPhaseDiagramCommand:
     def test_needs_config_or_results(self, tmp_path):
         assert main(["phase-diagram", "--out", str(tmp_path / "pd")]) == 2
 
+    @pytest.mark.parametrize("cell", ["abc", "nan"])
+    def test_from_results_bad_cell_exit_2(self, tmp_path, capsys, cell):
+        row = f"differential,20,{cell},0.1,1,feature_match_oracle_theta,2,0,0,0.5,0,0,0"
+        src = tmp_path / "rows.csv"
+        src.write_text(f"{CSV_HEADER}\n{row}\n")
+        argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(src) in err and "line 2" in err and "column snr" in err
+
+    def test_from_results_reads_noiseless_results(self, tmp_path):
+        # sigma = 0 with a beta_grid puts snr = inf in results.csv
+        cfg = tmp_path / "noiseless.json"
+        cfg.write_text(json.dumps(dict(
+            model="differential", n=6, sigma=0.0, beta_grid=[0.5], q_list=[0, 2], reps=2,
+            master_seed=20260810, estimator="feature_match_oracle_theta",
+        )))
+        out, again = tmp_path / "pd", tmp_path / "pd2"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "inf" in (out / "results.csv").read_text()
+        argv = ["phase-diagram", "--from-results", str(out / "results.csv"), "--out", str(again)]
+        assert main(argv) == 0
+        assert (again / "regimes.json").read_text() == (out / "regimes.json").read_text()
+
+    def test_from_results_missing_file_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "absent.csv"
+        argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
+        assert main(argv) == 2
+        assert f"results file not found: {src}" in capsys.readouterr().err
+
 
 class TestRowsCsvRoundTrip:
     def test_round_trip(self, tmp_path):

@@ -285,3 +285,18 @@ class TestSpaceArgmin:
         r, v = space_argmin(space, value)
         assert list(r) == list(expected[min(targets)])
         assert v == 0.0
+
+    def test_enumeration_is_shared_and_read_only(self):
+        # the enumeration is built once per space; a value function that
+        # wrote into its block would corrupt every later call on that space
+        space = RankSpace(4, 1)
+
+        def value(cand):
+            with pytest.raises(ValueError):
+                cand[0, 0] = 0
+            return np.zeros(cand.shape[0])
+
+        first, _ = space_argmin(space, value)
+        first[0] = 0  # the returned minimizer is the caller's own copy
+        again, _ = space_argmin(RankSpace(4, 1), value)
+        assert list(again) == list(enumerate_space(4, 1)[0])

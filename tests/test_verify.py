@@ -1,14 +1,39 @@
 import pytest
 
 from rankphase import InputError, run_identity_suite
+from rankphase.cli import main
 from rankphase.verify import CHECKS
+
+IDENTITIES = [
+    "differential-gap",
+    "poisson-gap",
+    "score-comparison",
+    "score-collaboration",
+    "score-adaptive-linear",
+    "hat-matrix",
+    "profile-ls-hat",
+    "bhattacharyya-series",
+    "loss-properties",
+    "signal-window",
+    "snr-roundtrip",
+    "space-nesting",
+]
 
 
 def test_all_identities_pass():
     results = run_identity_suite()
-    assert len(results) == len(CHECKS)
+    assert [r.name for r in results] == IDENTITIES
+    assert list(CHECKS) == IDENTITIES
     failed = [r.name for r in results if not r.passed]
     assert failed == []
+
+
+def test_nan_deviation_fails_the_gate(monkeypatch):
+    monkeypatch.setattr(
+        "rankphase.verify.signal_gap_closed_form", lambda *args: float("nan")
+    )
+    assert not CHECKS["differential-gap"]().passed
+    assert main(["verify"]) == 1
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
