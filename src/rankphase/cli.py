@@ -94,6 +94,8 @@ def read_rows_csv(path: Path) -> list[ResultRow]:
         text = path.read_text()
     except FileNotFoundError as exc:
         raise InputError(f"results file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"results file {path} is not text: {exc}") from exc
     lines = [
         (lineno, ln.rstrip("\r"))
         for lineno, ln in enumerate(text.split("\n"), start=1)
@@ -172,6 +174,8 @@ def _load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -268,6 +272,8 @@ def read_matrix_csv(path: Path) -> InteractionMatrix:
         text = path.read_text()
     except FileNotFoundError as exc:
         raise InputError(f"input file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input file {path} is not text: {exc}") from exc
     lines = [ln.rstrip("\r") for ln in text.split("\n")]
     while lines and not lines[-1]:
         lines.pop()

@@ -102,9 +102,10 @@ class IterationTrace:
     match_gap: float = 0.0
 
 
-def _matrix_sums(X: InteractionMatrix) -> tuple[np.ndarray, np.ndarray, float]:
+def _matrix_sums(X: InteractionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The zero-diagonal matrix with its row sums and column sums."""
     v = X.zero_diagonal()
-    return v.sum(axis=1), v.sum(axis=0), float(v.sum())
+    return v, v.sum(axis=1), v.sum(axis=0)
 
 
 def _require_n(X: InteractionMatrix, least: int, what: str) -> int:
@@ -122,7 +123,7 @@ def score_comparison(X: InteractionMatrix, theta) -> ScoreVector:
     th = np.asarray(theta, dtype=np.float64)
     if th.shape != (n,):
         raise InputError(f"theta must have length {n}")
-    row, col, _ = _matrix_sums(X)
+    _, row, col = _matrix_sums(X)
     return ScoreVector((row - col) / (2.0 * n) + th.mean())
 
 
@@ -132,7 +133,8 @@ def score_collaboration(X: InteractionMatrix) -> ScoreVector:
     S_i = (1/(2(n-2))) * (sum_{j != i}(X_ij + X_ji) - grand_sum/(n-1)).
     """
     n = _require_n(X, 3, "score_collaboration")
-    row, col, grand = _matrix_sums(X)
+    v, row, col = _matrix_sums(X)
+    grand = float(v.sum())
     return ScoreVector(((row + col) - grand / (n - 1.0)) / (2.0 * (n - 2.0)))
 
 
@@ -143,7 +145,7 @@ def score_adaptive(X: InteractionMatrix, kind: str) -> ScoreVector:
     kind="collaboration":  S_i = (1/(2(n-2))) * sum_{j != i}(X_ij + X_ji)
     """
     n = _require_n(X, 3, "score_adaptive")
-    row, col, _ = _matrix_sums(X)
+    _, row, col = _matrix_sums(X)
     if kind == "comparison":
         return ScoreVector((row - col) / (2.0 * n))
     if kind == "collaboration":

@@ -39,7 +39,7 @@ import heapq
 import numpy as np
 
 from .errors import InputError, MatchBudgetError, RankPhaseError
-from .model import RankSpace, space_argmin
+from .model import RankSpace, _row_blocks, space_argmin
 
 # Budgets for the dynamic program: total number of states, and transitions
 # (states times the positions each may move to).
@@ -89,9 +89,12 @@ def is_affine(theta) -> bool:
 
 
 def _unconstrained(S: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # argmin over k of |S_i - theta_k|; first minimum = smallest position.
-    dist = np.abs(S[:, None] - theta[None, :])
-    return np.argmin(dist, axis=1).astype(np.int64) + 1
+    # argmin over k of |S_i - theta_k|, a block of rows at a time so the
+    # distance table never exists whole; first minimum = smallest position.
+    r = np.empty(S.shape[0], dtype=np.int64)
+    for rows in _row_blocks(theta.shape[0]):
+        r[rows] = np.argmin(np.abs(S[rows, None] - theta[None, :]), axis=1)
+    return r + 1
 
 
 def _devs(r: np.ndarray, space: RankSpace) -> tuple[int, int]:

@@ -36,6 +36,17 @@ MODEL_KINDS = (DIFFERENTIAL, ADDITIVE, POISSON_SQRT_LINEAR)
 ENUMERATION_N_MAX = 6
 ENUMERATION_CHUNK = 1024
 
+# Elements (128 KB of float64) of one block of rows when an n x n array is
+# generated, or an n x n distance table reduced, block by block, so that no
+# n x n temporary exists beside the result.  At n <= 128 a matrix is one block.
+_ROW_BLOCK = 16_384
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of range(n), each about _ROW_BLOCK elements of n-wide rows."""
+    step = max(1, _ROW_BLOCK // n)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
 
 def identity_rank(n: int) -> np.ndarray:
     """The rank vector r(i) = i as an int64 array."""
@@ -294,10 +305,10 @@ class InteractionMatrix:
             raise InputError(f"interaction matrix must be square, got shape {v.shape}")
         if v.shape[0] < 2:
             raise InputError("interaction matrix needs n >= 2")
-        off = ~np.eye(v.shape[0], dtype=bool)
-        if not np.all(np.isfinite(v[off])):
-            raise InputError("off-diagonal interaction entries must be finite")
         v = v.copy()
+        np.fill_diagonal(v, 0.0)
+        if not np.isfinite(v).all():
+            raise InputError("off-diagonal interaction entries must be finite")
         np.fill_diagonal(v, np.nan)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -313,13 +324,15 @@ class InteractionMatrix:
         return v
 
 
-def _pair_means(kind: str, th: np.ndarray) -> np.ndarray:
-    """The mean structure ``kind`` over every pair (th_a, th_b) of abilities."""
+def _pair_means(kind: str, th: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """The mean structure ``kind`` over every pair (th_a, cols_b); ``cols`` defaults to ``th``."""
+    if cols is None:
+        cols = th
     if kind == DIFFERENTIAL:
-        return th[:, None] - th[None, :]
+        return th[:, None] - cols[None, :]
     if kind == ADDITIVE:
-        return th[:, None] + th[None, :]
-    s = th[:, None] + th[None, :]
+        return th[:, None] + cols[None, :]
+    s = th[:, None] + cols[None, :]
     return s * s
 
 

@@ -36,12 +36,15 @@ from .model import (
     ModelSpec,
     RankSpace,
     RankVector,
+    _pair_means,
+    _row_blocks,
     beta_for_snr,
     build_mean_matrix,
     default_sum_budget,
     default_sumsq_budget,
     identity_rank,
     loss,
+    rank_entries,
     snr,
 )
 from .poisson import PoissonCounts, poisson_mle_brute_force
@@ -93,12 +96,20 @@ def generate_gaussian(model: ModelSpec, r, sigma: float, seed: int) -> Interacti
     """X = mu(r) + Z with Z i.i.d. N(0, sigma^2); sigma = 0 returns mu exactly."""
     if sigma < 0:
         raise InputError("sigma must be >= 0")
-    mu = build_mean_matrix(model, r)
     if sigma == 0.0:
-        return InteractionMatrix(mu)
+        return InteractionMatrix(build_mean_matrix(model, r))
+    # One n x n array, filled a row block at a time in the generator's stream
+    # order: fl(sigma * z) then mu + that is normal(0, sigma)'s loc + scale * z
+    # bit for bit, so this equals build_mean_matrix + normal(0, sigma, (n, n)).
+    th = model.theta[rank_entries(r, model.n) - 1]
     rng = np.random.default_rng(seed)
-    z = rng.normal(0.0, sigma, size=mu.shape)
-    return InteractionMatrix(mu + z)
+    x = np.empty((model.n, model.n))
+    for rows in _row_blocks(model.n):
+        block = x[rows]
+        rng.standard_normal(out=block)
+        block *= sigma
+        np.add(_pair_means(model.kind, th[rows], th), block, out=block)
+    return InteractionMatrix(x)
 
 
 def generate_poisson(model: ModelSpec, r, seed: int) -> PoissonCounts:
@@ -119,7 +130,7 @@ def random_feasible_rank(space: RankSpace, seed: int) -> RankVector:
     """
     n = space.n
     rng = np.random.default_rng(seed)
-    r = (rng.permutation(n) + 1).astype(np.int64)
+    r = (rng.permutation(n) + 1).tolist()
     # one (coordinate, direction) pair per move, drawn in the order a move
     # at a time would draw them
     moves = rng.integers(0, np.tile([n, 2], 2 * n)).reshape(-1, 2).tolist()
@@ -132,12 +143,12 @@ def random_feasible_rank(space: RankSpace, seed: int) -> RankVector:
         ndev1 = dev1 + d
         if abs(ndev1) > space.c_n:
             continue
-        ndev2 = dev2 + 2 * int(r[i]) * d + 1
+        ndev2 = dev2 + 2 * r[i] * d + 1
         if space.c_n_sq is not None and abs(ndev2) > space.c_n_sq:
             continue
         r[i] = cand
         dev1, dev2 = ndev1, ndev2
-    return RankVector(r)
+    return RankVector(np.array(r, dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,12 @@ class TestSimulateCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert str(path) in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -187,6 +193,13 @@ class TestPhaseDiagramCommand:
         argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
         assert main(argv) == 2
         assert f"results file not found: {src}" in capsys.readouterr().err
+
+    def test_from_results_non_utf8_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "rows.csv"
+        src.write_bytes(b"\xff\xfe\x00")
+        argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
+        assert main(argv) == 2
+        assert str(src) in capsys.readouterr().err
 
 
 class TestRowsCsvRoundTrip:
@@ -314,6 +327,13 @@ class TestEstimateCommand:
                      "--out", str(tmp_path / "x.txt")]) == 2
         err = capsys.readouterr().err
         assert "row 2" in err and "column 3" in err
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["estimate", "--input", str(path), "--kind", "comparison",
+                     "--out", str(tmp_path / "x.txt")]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_too_small_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

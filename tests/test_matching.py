@@ -282,6 +282,17 @@ def test_band_match_equals_full_dp_where_sumsq_binds():
         assert match_objective(scores, theta, r) == match_objective(scores, theta, full)
 
 
+@pytest.mark.parametrize("n", [128, 129, 255, 256, 300])
+def test_unconstrained_equals_dense_argmin_on_ties(n):
+    # integer, duplicated theta and scores on integers and exact midpoints,
+    # in rows on both sides of a row-block edge
+    rng = np.random.default_rng(n)
+    for theta in (rng.integers(0, n // 4, n).astype(float), np.arange(n) // 2 * 1.0):
+        scores = rng.integers(-2, n // 2, n) * 0.5
+        want = np.argmin(np.abs(scores[:, None] - theta[None, :]), axis=1) + 1
+        np.testing.assert_array_equal(matching._unconstrained(scores, theta), want)
+
+
 @pytest.mark.parametrize("n", [40, 100])
 def test_sum_only_band_equals_full_dp(monkeypatch, n):
     # non-affine theta over a sum-only space takes the band, not the greedy

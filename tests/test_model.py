@@ -238,6 +238,26 @@ class TestInteractionMatrix:
         with pytest.raises(InputError):
             InteractionMatrix(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("cell", [(0, 299), (53, 0), (299, 298), (270, 0)])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_cell_rejected_in_first_and_last_row_block(self, cell, bad):
+        # at n = 300 the first row block is rows 0..53 and the last 270..299
+        values = np.ones((300, 300))
+        values[cell] = bad
+        with pytest.raises(InputError, match="off-diagonal"):
+            InteractionMatrix(values)
+
+    @pytest.mark.parametrize("diag", [7.5, np.nan, np.inf])
+    def test_any_diagonal_accepted_and_caller_array_unmodified(self, diag):
+        values = np.arange(300.0 * 300.0).reshape(300, 300)
+        np.fill_diagonal(values, diag)
+        before = values.copy()
+        X = InteractionMatrix(values)
+        assert np.isnan(np.diag(X.values)).all()
+        off = ~np.eye(300, dtype=bool)
+        np.testing.assert_array_equal(X.values[off], before[off])
+        np.testing.assert_array_equal(values, before)
+
     def test_values_read_only(self):
         X = InteractionMatrix(np.ones((3, 3)))
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from rankphase import (
     RankSpace,
     ResultRow,
     beta_for_snr,
+    build_mean_matrix,
     classify_regime,
     derive_seed,
     fit_regimes,
@@ -23,6 +24,7 @@ from rankphase import (
     summarize_grid,
 )
 from rankphase.matching import feature_match
+from rankphase.model import _row_blocks
 from rankphase.simulate import THREADS_ENV_VAR
 
 
@@ -53,6 +55,26 @@ class TestGenerators:
         b = generate_gaussian(m, np.arange(1, 9), 1.0, 99)
         off = ~np.eye(8, dtype=bool)
         np.testing.assert_array_equal(a.values[off], b.values[off])
+
+    # n = 50 and 128 are one row block, 129 and 300 end in a short block,
+    # 256 and 512 are exact multiples of the block height
+    @pytest.mark.parametrize(
+        "n, blocks", [(50, 1), (128, 1), (129, 2), (256, 4), (300, 6), (512, 16)]
+    )
+    @pytest.mark.parametrize("kind", ["differential", "additive"])
+    def test_row_blocks_equal_one_dense_draw(self, n, blocks, kind):
+        assert len(_row_blocks(n)) == blocks
+        rng = np.random.default_rng(n)
+        model = ModelSpec(kind=kind, theta=rng.normal(0.0, 2.0, n))
+        for r in (np.arange(1, n + 1), rng.permutation(n) + 1):
+            for sigma, seed in ((1.0, 7), (0.37, 11), (2.5, 13)):
+                got = generate_gaussian(model, r, sigma, seed).values.copy()
+                noise = np.random.default_rng(seed).normal(0.0, sigma, (n, n))
+                want = build_mean_matrix(model, r) + noise
+                assert np.isnan(np.diag(got)).all() and np.isnan(np.diag(want)).all()
+                np.fill_diagonal(got, 0.0)
+                np.fill_diagonal(want, 0.0)
+                assert got.tobytes() == want.tobytes()
 
     def test_noise_variance(self):
         n = 200
