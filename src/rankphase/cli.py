@@ -120,6 +120,10 @@ def read_rows_csv(path: Path) -> list[ResultRow]:
             # never written, and rows holding it could not be grouped
             if kind is float and math.isnan(value):
                 raise InputError(f"{where}: NaN value {cell!r}")
+            if (column == "exact_recovery" and value not in ("0", "1")) or (
+                column == "iters" and value < 0
+            ):
+                raise InputError(f"{where}: invalid value {cell!r}")
             values.append(value)
         model, n, snr, beta, sigma, est, q, rep, seed, lv, exact, iters, wall = values
         if snr not in snr_order:

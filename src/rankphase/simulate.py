@@ -36,6 +36,7 @@ from .model import (
     ModelSpec,
     RankSpace,
     RankVector,
+    _ROW_BLOCK,
     _pair_means,
     _row_blocks,
     beta_for_snr,
@@ -79,9 +80,11 @@ def derive_seed(master_seed: int, *indices: int) -> int:
 
 
 def resolve_workers() -> int:
-    """Worker count: RANK_PHASE_THREADS if set, else available parallelism."""
+    """Worker count: RANK_PHASE_THREADS if set, else the CPUs this process may use."""
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         workers = int(raw)
@@ -90,6 +93,13 @@ def resolve_workers() -> int:
     if workers < 1:
         raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1, got {workers}")
     return workers
+
+
+def _default_workers(config: ExperimentConfig) -> int:
+    """1 if RANK_PHASE_THREADS is unset and a rep is many small numpy calls (one
+    row block, no enumeration), which a pool only slows; else resolve_workers()."""
+    small = config.estimator != "brute_force" and config.n**2 <= _ROW_BLOCK
+    return 1 if small and THREADS_ENV_VAR not in os.environ else resolve_workers()
 
 
 def generate_gaussian(model: ModelSpec, r, sigma: float, seed: int) -> InteractionMatrix:
@@ -405,13 +415,15 @@ def _run_single(config: ExperimentConfig, grid_index: int, rep: int) -> ResultRo
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[ResultRow]:
     """Run every (grid point, replication) task; output order is deterministic.
 
-    Tasks run concurrently on a thread pool (each owns its derived RNG) and
-    are merged back in (grid index, rep) order, so the result is identical
-    for any worker count.
+    Tasks run on up to ``workers`` threads, no more than there are tasks
+    (default: _default_workers, one thread at n <= 128 unless enumerating or
+    RANK_PHASE_THREADS is set).  Each owns its derived RNG and results merge
+    back in (grid index, rep) order, so they never depend on the worker count.
     """
     if workers is None:
-        workers = resolve_workers()
+        workers = _default_workers(config)
     tasks = [(g, k) for g in range(len(config.snr_grid)) for k in range(config.reps)]
+    workers = min(workers, len(tasks))
     if workers == 1:
         return [_run_single(config, g, k) for g, k in tasks]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:

@@ -174,6 +174,25 @@ class TestPhaseDiagramCommand:
         err = capsys.readouterr().err
         assert str(src) in err and "line 2" in err and "column snr" in err
 
+    def test_from_results_bad_exact_recovery_exit_2(self, tmp_path, capsys):
+        # any cell but 0/1 used to load as "not recovered"
+        row = "differential,20,0.5,0.1,1,feature_match_oracle_theta,2,0,0,0.5,yes,0,0"
+        src = tmp_path / "rows.csv"
+        src.write_text(f"{CSV_HEADER}\n{row}\n")
+        argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(src) in err and "line 2" in err and "column exact_recovery" in err
+
+    def test_from_results_negative_iters_exit_2(self, tmp_path, capsys):
+        row = "differential,20,0.5,0.1,1,feature_match_oracle_theta,2,0,0,0.5,1,-5,0"
+        src = tmp_path / "rows.csv"
+        src.write_text(f"{CSV_HEADER}\n{row}\n")
+        argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(src) in err and "line 2" in err and "column iters" in err
+
     def test_from_results_reads_noiseless_results(self, tmp_path):
         # sigma = 0 with a beta_grid puts snr = inf in results.csv
         cfg = tmp_path / "noiseless.json"

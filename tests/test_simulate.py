@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from rankphase import (
     space_contains,
     summarize_grid,
 )
+import rankphase.simulate as simulate_module
+from rankphase.cli import rows_to_csv
 from rankphase.matching import feature_match
 from rankphase.model import _row_blocks
 from rankphase.simulate import THREADS_ENV_VAR
@@ -396,3 +399,75 @@ class TestWorkers:
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         assert resolve_workers() >= 1
 
+    def test_default_counts_cpus_in_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert resolve_workers() == 1
+
+    def test_default_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert resolve_workers() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_workers() == 1
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """max_workers of each pool run_experiment builds, with 4 usable CPUs."""
+        built = []
+        futures = simulate_module.concurrent.futures
+
+        class Recording(futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        return built
+
+    @staticmethod
+    def _config(estimator, n, model="differential", snr_grid=(4.0,)):
+        return ExperimentConfig(
+            model=model, n=n, snr_grid=snr_grid, reps=2, master_seed=11, estimator=estimator
+        )
+
+    @pytest.mark.parametrize("n", [100, 128])
+    @pytest.mark.parametrize("estimator", ["feature_match_oracle_theta", "profile_ls_adaptive"])
+    def test_default_one_worker_within_one_row_block(self, pools, estimator, n):
+        assert len(run_experiment(self._config(estimator, n))) == 2
+        assert pools == []
+
+    def test_default_pool_past_one_row_block(self, pools):
+        run_experiment(self._config("feature_match_oracle_theta", 129))
+        assert pools == [2]  # 4 CPUs, capped at the 2 tasks
+
+    @pytest.mark.parametrize("model", ["differential", "poisson_sqrt_linear"])
+    def test_default_pool_when_enumerating(self, pools, model):
+        run_experiment(self._config("brute_force", 6, model=model))
+        assert pools == [2]
+
+    def test_env_var_wins_within_one_row_block(self, pools, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        run_experiment(self._config("feature_match_oracle_theta", 100))
+        assert pools == [2]
+
+    @pytest.mark.parametrize("raw", ["0", "zero"])
+    def test_env_var_validated_within_one_row_block(self, pools, monkeypatch, raw):
+        monkeypatch.setenv(THREADS_ENV_VAR, raw)
+        with pytest.raises(ConfigError):
+            run_experiment(self._config("feature_match_oracle_theta", 100))
+
+    def test_explicit_workers_capped_at_task_count(self, pools):
+        run_experiment(self._config("feature_match_oracle_theta", 20), workers=8)
+        assert pools == [2]
+
+    def test_csv_identical_at_any_worker_count(self, pools):
+        cfg = self._config("profile_ls_adaptive", 100, snr_grid=(0.5, 4.0))
+        default = rows_to_csv(run_experiment(cfg))
+        assert rows_to_csv(run_experiment(cfg, workers=1)) == default
+        assert rows_to_csv(run_experiment(cfg, workers=4)) == default
+        assert pools == [4]
