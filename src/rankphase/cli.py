@@ -124,6 +124,9 @@ def read_rows_csv(path: Path) -> list[ResultRow]:
                 column == "iters" and value < 0
             ):
                 raise InputError(f"{where}: invalid value {cell!r}")
+            # the regime thresholds need n >= 3, as ExperimentConfig does
+            if column == "n" and value < 3:
+                raise InputError(f"{where}: must be >= 3, got {cell!r}")
             values.append(value)
         model, n, snr, beta, sigma, est, q, rep, seed, lv, exact, iters, wall = values
         if snr not in snr_order:

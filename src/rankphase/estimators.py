@@ -20,6 +20,7 @@ from .model import (
     ModelSpec,
     RankSpace,
     RankVector,
+    _row_blocks,
     position_mean_table,
     rank_entries,
     space_argmin,
@@ -102,10 +103,27 @@ class IterationTrace:
     match_gap: float = 0.0
 
 
-def _matrix_sums(X: InteractionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The zero-diagonal matrix with its row sums and column sums."""
-    v = X.zero_diagonal()
-    return v, v.sum(axis=1), v.sum(axis=0)
+def _row_col_sums(X: InteractionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of the zero-diagonal matrix, without copying it.
+
+    Rows are summed a row block at a time in a small buffer whose diagonal
+    is zeroed.  The buffer's first row carries the running column sum, and
+    numpy reduces over the leading axis in row order, so both equal
+    X.zero_diagonal().sum(axis=1) and .sum(axis=0) bit for bit.
+    """
+    n = X.n
+    blocks = _row_blocks(n)
+    buf = np.empty((blocks[0].stop + 1, n))
+    row = np.empty(n)
+    for rows in blocks:
+        m = rows.stop - rows.start
+        block = buf[1 : m + 1]
+        block[...] = X.values[rows]
+        block.reshape(-1)[rows.start :: n + 1] = 0.0
+        row[rows] = block.sum(axis=1)
+        # the first block has no running sum to carry
+        buf[0] = buf[int(rows.start == 0) : m + 1].sum(axis=0)
+    return row, buf[0].copy()
 
 
 def _require_n(X: InteractionMatrix, least: int, what: str) -> int:
@@ -123,7 +141,7 @@ def score_comparison(X: InteractionMatrix, theta) -> ScoreVector:
     th = np.asarray(theta, dtype=np.float64)
     if th.shape != (n,):
         raise InputError(f"theta must have length {n}")
-    _, row, col = _matrix_sums(X)
+    row, col = _row_col_sums(X)
     return ScoreVector((row - col) / (2.0 * n) + th.mean())
 
 
@@ -133,7 +151,10 @@ def score_collaboration(X: InteractionMatrix) -> ScoreVector:
     S_i = (1/(2(n-2))) * (sum_{j != i}(X_ij + X_ji) - grand_sum/(n-1)).
     """
     n = _require_n(X, 3, "score_collaboration")
-    v, row, col = _matrix_sums(X)
+    # one zero-diagonal copy: its grand sum is pairwise over all n^2
+    # entries, which a sum of row-block sums would not reproduce bit for bit
+    v = X.zero_diagonal()
+    row, col = v.sum(axis=1), v.sum(axis=0)
     grand = float(v.sum())
     return ScoreVector(((row + col) - grand / (n - 1.0)) / (2.0 * (n - 2.0)))
 
@@ -145,7 +166,7 @@ def score_adaptive(X: InteractionMatrix, kind: str) -> ScoreVector:
     kind="collaboration":  S_i = (1/(2(n-2))) * sum_{j != i}(X_ij + X_ji)
     """
     n = _require_n(X, 3, "score_adaptive")
-    _, row, col = _matrix_sums(X)
+    row, col = _row_col_sums(X)
     if kind == "comparison":
         return ScoreVector((row - col) / (2.0 * n))
     if kind == "collaboration":

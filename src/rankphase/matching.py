@@ -39,7 +39,7 @@ import heapq
 import numpy as np
 
 from .errors import InputError, MatchBudgetError, RankPhaseError
-from .model import RankSpace, _row_blocks, space_argmin
+from .model import RankSpace, _ROW_BLOCK, _row_blocks, space_argmin
 
 # Budgets for the dynamic program: total number of states, and transitions
 # (states times the positions each may move to).
@@ -88,13 +88,41 @@ def is_affine(theta) -> bool:
     return float(np.max(np.abs(d - d[0]))) <= AFFINE_DETECT_RTOL * scale
 
 
-def _unconstrained(S: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _unconstrained(S: np.ndarray, theta: np.ndarray, affine: bool = False) -> np.ndarray:
+    """Nearest position per coordinate: the first argmin over k of |S_i - theta_k|.
+
+    With affine theta the candidate is k = rint((S_i - theta_1) / step)
+    (Hochbaum, Math. OR 19(2), 1994).  A monotone theta makes
+    |S_i - theta_k| nonincreasing and then nondecreasing in k, so a
+    candidate whose neighbours are both strictly farther, on the same
+    expression, is the unique minimum.  Rows at a tie or a plateau take
+    the dense argmin, and so does every row when theta is not affine, not
+    monotone, or flat.
+    """
+    n = theta.shape[0]
+    if affine:
+        step = (theta[-1] - theta[0]) / (n - 1)
+        d = np.diff(theta)
+        if 0.0 < abs(step) < np.inf and ((d >= 0.0).all() or (d <= 0.0).all()):
+            k = np.clip(np.rint((S - theta[0]) / step), 0, n - 1).astype(np.int64)
+            here = np.abs(S - theta[k])
+            # a missing neighbour at either end counts as farther
+            below = np.where(k > 0, np.abs(S - theta[np.maximum(k - 1, 0)]), np.inf)
+            above = np.where(k < n - 1, np.abs(S - theta[np.minimum(k + 1, n - 1)]), np.inf)
+            todo = np.flatnonzero(~((below > here) & (above > here)))
+            if todo.shape[0]:
+                k[todo] = _dense_nearest(S[todo], theta)
+            return k + 1
+    return _dense_nearest(S, theta) + 1
+
+
+def _dense_nearest(S: np.ndarray, theta: np.ndarray) -> np.ndarray:
     # argmin over k of |S_i - theta_k|, a block of rows at a time so the
     # distance table never exists whole; first minimum = smallest position.
-    r = np.empty(S.shape[0], dtype=np.int64)
-    for rows in _row_blocks(theta.shape[0]):
-        r[rows] = np.argmin(np.abs(S[rows, None] - theta[None, :]), axis=1)
-    return r + 1
+    k = np.empty(S.shape[0], dtype=np.int64)
+    for rows in _row_blocks(theta.shape[0], S.shape[0]):
+        k[rows] = np.argmin(np.abs(S[rows, None] - theta[None, :]), axis=1)
+    return k
 
 
 def _devs(r: np.ndarray, space: RankSpace) -> tuple[int, int]:
@@ -483,12 +511,18 @@ def feature_match(scores, theta, space: RankSpace) -> np.ndarray:
     S = _score_array(scores, n)
     th = _theta_array(theta, n)
 
-    u = _unconstrained(S, th)
+    # past one row block the closed form beats the dense argmin for affine
+    # theta; below it, affinity matters only once the nearest position
+    # breaks a budget
+    affine = is_affine(th) if n * n > _ROW_BLOCK else None
+    u = _unconstrained(S, th, bool(affine))
     dev1, dev2 = _devs(u, space)
     if abs(dev1) <= space.c_n and (space.c_n_sq is None or abs(dev2) <= space.c_n_sq):
         return u
 
-    if is_affine(th):
+    if affine is None:
+        affine = is_affine(th)
+    if affine:
         r1, cost = _greedy_sum_repair(S, th, u, space.c_n), None
     else:
         cost = (S[:, None] - th[None, :]) ** 2

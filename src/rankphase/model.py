@@ -42,10 +42,23 @@ ENUMERATION_CHUNK = 1024
 _ROW_BLOCK = 16_384
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of range(n), each about _ROW_BLOCK elements of n-wide rows."""
+def _row_blocks(n: int, rows: int | None = None) -> list[slice]:
+    """Consecutive slices of range(rows), rows defaulting to n, each about
+    _ROW_BLOCK elements of n-wide rows."""
+    rows = n if rows is None else rows
     step = max(1, _ROW_BLOCK // n)
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _zero_diagonal_checked(block: np.ndarray, start: int) -> None:
+    """Zero the diagonal entries in rows start.. of an n x n array's row block, in place.
+
+    Raises InputError unless every entry of the block is then finite.  The
+    diagonal is a strided view of the flattened block, not a fancy index.
+    """
+    block.reshape(-1)[start :: block.shape[1] + 1] = 0.0
+    if not np.isfinite(block).all():
+        raise InputError("off-diagonal interaction entries must be finite")
 
 
 def identity_rank(n: int) -> np.ndarray:
@@ -292,9 +305,12 @@ class ModelSpec:
 class InteractionMatrix:
     """Observed interactions X_ij for i != j; the diagonal is masked (NaN).
 
-    The constructor overwrites the diagonal with NaN so that any operation
-    that accidentally reads it poisons its output instead of silently using
-    a sentinel value.
+    The matrix owns ``values``: a read-only float64 array whose diagonal is
+    overwritten with NaN, so that any operation that accidentally reads it
+    poisons its output instead of silently using a sentinel value.  The
+    public constructor copies its argument and never modifies the caller's
+    array.  The Gaussian generator instead hands over the only copy of the
+    matrix it filled (``_adopt``), so a replication holds one n x n array.
     """
 
     values: np.ndarray
@@ -306,9 +322,22 @@ class InteractionMatrix:
         if v.shape[0] < 2:
             raise InputError("interaction matrix needs n >= 2")
         v = v.copy()
-        np.fill_diagonal(v, 0.0)
-        if not np.isfinite(v).all():
-            raise InputError("off-diagonal interaction entries must be finite")
+        for rows in _row_blocks(v.shape[0]):
+            _zero_diagonal_checked(v[rows], rows.start)
+        self._own(v)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> "InteractionMatrix":
+        """Take ownership of a writable n x n float64 array without copying it.
+
+        The caller gives up the array and must already have checked every
+        off-diagonal entry finite (``_zero_diagonal_checked``).
+        """
+        matrix = object.__new__(cls)
+        matrix._own(values)
+        return matrix
+
+    def _own(self, v: np.ndarray) -> None:
         np.fill_diagonal(v, np.nan)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

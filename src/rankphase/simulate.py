@@ -39,6 +39,7 @@ from .model import (
     _ROW_BLOCK,
     _pair_means,
     _row_blocks,
+    _zero_diagonal_checked,
     beta_for_snr,
     build_mean_matrix,
     default_sum_budget,
@@ -106,20 +107,26 @@ def generate_gaussian(model: ModelSpec, r, sigma: float, seed: int) -> Interacti
     """X = mu(r) + Z with Z i.i.d. N(0, sigma^2); sigma = 0 returns mu exactly."""
     if sigma < 0:
         raise InputError("sigma must be >= 0")
-    if sigma == 0.0:
-        return InteractionMatrix(build_mean_matrix(model, r))
     # One n x n array, filled a row block at a time in the generator's stream
     # order: fl(sigma * z) then mu + that is normal(0, sigma)'s loc + scale * z
     # bit for bit, so this equals build_mean_matrix + normal(0, sigma, (n, n)).
-    th = model.theta[rank_entries(r, model.n) - 1]
+    # Each block is checked while it is in cache, and the matrix takes the
+    # array over without a copy.
+    n = model.n
+    th = model.theta[rank_entries(r, n) - 1]
     rng = np.random.default_rng(seed)
-    x = np.empty((model.n, model.n))
-    for rows in _row_blocks(model.n):
+    x = np.empty((n, n))
+    for rows in _row_blocks(n):
         block = x[rows]
-        rng.standard_normal(out=block)
-        block *= sigma
-        np.add(_pair_means(model.kind, th[rows], th), block, out=block)
-    return InteractionMatrix(x)
+        means = _pair_means(model.kind, th[rows], th)
+        if sigma == 0.0:
+            block[...] = means
+        else:
+            rng.standard_normal(out=block)
+            block *= sigma
+            np.add(means, block, out=block)
+        _zero_diagonal_checked(block, rows.start)
+    return InteractionMatrix._adopt(x)
 
 
 def generate_poisson(model: ModelSpec, r, seed: int) -> PoissonCounts:

@@ -193,6 +193,17 @@ class TestPhaseDiagramCommand:
         err = capsys.readouterr().err
         assert str(src) in err and "line 2" in err and "column iters" in err
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_from_results_n_below_3_exit_2(self, tmp_path, capsys, n):
+        # classify_regime and fit_regimes divided by zero on these
+        row = f"differential,{n},0.5,0.1,1,feature_match_oracle_theta,2,0,0,0.5,1,0,0"
+        src = tmp_path / "rows.csv"
+        src.write_text(f"{CSV_HEADER}\n{row}\n")
+        argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(src) in err and "line 2" in err and "column n" in err and ">= 3" in err
+
     def test_from_results_reads_noiseless_results(self, tmp_path):
         # sigma = 0 with a beta_grid puts snr = inf in results.csv
         cfg = tmp_path / "noiseless.json"

@@ -293,6 +293,69 @@ def test_unconstrained_equals_dense_argmin_on_ties(n):
         np.testing.assert_array_equal(matching._unconstrained(scores, theta), want)
 
 
+@st.composite
+def _affine_nearest_instances(draw):
+    # n on both sides of feature_match's one-row-block cut (n^2 > 16384
+    # from n = 129); slopes of either sign down to 1e-13, and offsets large
+    # enough that theta, hence |S - theta_k|, has plateaus
+    n = draw(st.sampled_from([3, 50, 128, 129, 200, 301]))
+    slope = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-13.0, 3.0))
+    offset = draw(st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e6, -1e9, 1e15])))
+    theta = offset + slope * np.arange(1, n + 1)
+    # each score is a midpoint (theta_k + theta_k+1) / 2, exactly some
+    # theta_k, outside [theta_1, theta_n], or anywhere in between
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = rng.integers(0, 4, n)
+    k = rng.integers(0, n - 1, n)
+    lo, hi = min(theta[0], theta[-1]), max(theta[0], theta[-1])
+    span = max(hi - lo, abs(slope))
+    outside = np.where(rng.random(n) < 0.5, lo, hi) + rng.normal(0.0, 1.0, n) * span
+    scores = np.select(
+        [kind == 0, kind == 1, kind == 2],
+        [(theta[k] + theta[k + 1]) / 2, theta[k], outside],
+        lo + rng.random(n) * (hi - lo),
+    )
+    return scores, theta
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_affine_nearest_instances())
+def test_closed_form_nearest_equals_dense_argmin(instance):
+    scores, theta = instance
+    assert is_affine(theta)
+    want = np.argmin(np.abs(scores[:, None] - theta[None, :]), axis=1) + 1
+    np.testing.assert_array_equal(matching._unconstrained(scores, theta, True), want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nearest_position_on_non_monotone_affine_theta(seed):
+    # within is_affine's tolerance but zig-zagging: a strict local minimum of
+    # |S - theta_k| need not be the global one, so the closed form must not run
+    rng = np.random.default_rng(seed)
+    n = 300
+    theta = 1e-13 * np.arange(1, n + 1) + rng.uniform(-2e-13, 2e-13, n)
+    assert is_affine(theta) and (np.diff(theta) < 0).any()
+    scores = rng.uniform(theta.min(), theta.max(), n)
+    want = np.argmin(np.abs(scores[:, None] - theta[None, :]), axis=1) + 1
+    np.testing.assert_array_equal(feature_match(scores, theta, RankSpace(n, n * n)), want)
+
+
+@pytest.mark.parametrize("n, dense_rows", [(128, 128), (129, 0), (2000, 0)])
+def test_closed_form_nearest_skips_dense_table(monkeypatch, n, dense_rows):
+    # generic scores settle in closed form past one row block, not below it
+    calls = []
+    dense = matching._dense_nearest
+    monkeypatch.setattr(
+        matching, "_dense_nearest", lambda S, th: calls.append(S.shape[0]) or dense(S, th)
+    )
+    rng = np.random.default_rng(n)
+    theta = 0.3 + 0.01 * np.arange(1, n + 1)
+    scores = rng.normal(theta.mean(), 0.5 * np.ptp(theta), n)
+    want = np.argmin(np.abs(scores[:, None] - theta[None, :]), axis=1) + 1
+    np.testing.assert_array_equal(feature_match(scores, theta, RankSpace(n, n * n)), want)
+    assert sum(calls) == dense_rows
+
+
 @pytest.mark.parametrize("n", [40, 100])
 def test_sum_only_band_equals_full_dp(monkeypatch, n):
     # non-affine theta over a sum-only space takes the band, not the greedy

@@ -257,6 +257,7 @@ class TestInteractionMatrix:
         off = ~np.eye(300, dtype=bool)
         np.testing.assert_array_equal(X.values[off], before[off])
         np.testing.assert_array_equal(values, before)
+        assert values.flags.writeable and not np.shares_memory(values, X.values)
 
     def test_values_read_only(self):
         X = InteractionMatrix(np.ones((3, 3)))

@@ -1,5 +1,9 @@
+import hashlib
+import json
 import math
 import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from rankphase import (
     ConfigError,
     ExperimentConfig,
+    InputError,
     ModelSpec,
     RankSpace,
     ResultRow,
@@ -78,6 +83,24 @@ class TestGenerators:
                 np.fill_diagonal(got, 0.0)
                 np.fill_diagonal(want, 0.0)
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [50, 300])
+    @pytest.mark.parametrize("sigma", [0.0, 1.3])
+    def test_generated_matrix_read_only_with_nan_diagonal(self, n, sigma):
+        model = ModelSpec.parametric("additive", n, alpha=0.5, beta_tilde=0.2)
+        X = generate_gaussian(model, np.arange(1, n + 1), sigma, 3)
+        assert not X.values.flags.writeable
+        assert np.isnan(np.diag(X.values)).all()
+        assert np.isfinite(X.values[~np.eye(n, dtype=bool)]).all()
+
+    @pytest.mark.parametrize("n", [20, 300])
+    def test_non_finite_entry_rejected(self, n):
+        model = ModelSpec.parametric("differential", n, alpha=0.0, beta_tilde=1.0)
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="off-diagonal"):
+            generate_gaussian(model, np.arange(1, n + 1), 1e308, 5)
+        huge = ModelSpec.additive(np.full(n, 1e308))
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="off-diagonal"):
+            generate_gaussian(huge, np.arange(1, n + 1), 0.0, 5)
 
     def test_noise_variance(self):
         n = 200
@@ -305,6 +328,28 @@ class TestRunExperiment:
             assert row.loss_for(2.0) <= (row.n - 1) ** 2
             assert row.exact_recovery == (l0 == 0.0)
 
+    def test_one_matrix_per_replication(self):
+        # generation hands its array over and the comparison score sums it by
+        # row blocks, so the traced peak is one n x n float64 array plus
+        # blocks; it was about twice that when both copied the matrix
+        n = 1000
+        cfg = ExperimentConfig(
+            model="differential",
+            n=n,
+            snr_grid=(1e-3,),
+            reps=1,
+            master_seed=8,
+            estimator="feature_match_oracle_theta",
+        )
+        simulate_module._run_single(cfg, 0, 0)
+        tracemalloc.start()
+        try:
+            simulate_module._run_single(cfg, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * n * n * 8
+
     def test_poisson_brute_force_grid(self):
         cfg = ExperimentConfig(
             model="poisson_sqrt_linear",
@@ -471,3 +516,22 @@ class TestWorkers:
         assert rows_to_csv(run_experiment(cfg, workers=1)) == default
         assert rows_to_csv(run_experiment(cfg, workers=4)) == default
         assert pools == [4]
+
+
+class TestPinnedDigests:
+    # sha256 of each results CSV as written before the closed-form nearest
+    # position and the row-block sums: additive oracle theta at n = 300
+    # (collaboration score, closed form, sum repair) and differential profile
+    # LS at n = 200 (adaptive score, closed form, band)
+    PINS = {
+        "pin_additive_n300.json": "6215fc38cd50367ca5d736e7730970f58517c97aaf4b26831525307fe9ad8d99",
+        "pin_profile_n200.json": "96b1e393c57eec4647c6d51617a986dd852209e02d3e4cddac1c5010f8f41808",
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_results_csv_at_pinned_digest(self, name, workers):
+        path = Path(__file__).resolve().parent.parent / "configs" / name
+        cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+        csv = rows_to_csv(run_experiment(cfg, workers=workers))
+        assert hashlib.sha256(csv.encode()).hexdigest() == self.PINS[name]
