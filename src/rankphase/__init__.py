@@ -10,11 +10,8 @@ from .errors import ConfigError, DegenerateFitError, InputError, RankPhaseError
 from .estimators import (
     IterationTrace,
     OlsFit,
-    ScoreVector,
-    exhaustive_feature_match,
     hat_matrix,
     lse_brute_force,
-    match_objective,
     ols_fit,
     profile_ls_estimate,
     profile_ls_objective,
@@ -22,7 +19,7 @@ from .estimators import (
     score_collaboration,
     score_comparison,
 )
-from .matching import feature_match
+from .matching import exhaustive_feature_match, feature_match, match_objective
 from .model import (
     ADDITIVE,
     DIFFERENTIAL,
@@ -30,7 +27,6 @@ from .model import (
     InteractionMatrix,
     ModelSpec,
     RankSpace,
-    RankVector,
     beta_for_snr,
     build_mean_matrix,
     default_sum_budget,

@@ -7,6 +7,7 @@ error.  All file outputs end with a trailing newline; CSV inputs tolerate CRLF.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -16,18 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DegenerateFitError, InputError, RankPhaseError
-from .estimators import (
-    exhaustive_feature_match,
-    match_objective,
-    ols_fit,
-    profile_ls_estimate,
-    score_adaptive,
-)
-from .matching import feature_match
+from .estimators import ols_fit, profile_ls_estimate, score_adaptive
+from .matching import exhaustive_feature_match, feature_match, match_objective
 from .model import (
     ENUMERATION_N_MAX,
     InteractionMatrix,
     RankSpace,
+    beta_for_snr,
     default_sum_budget,
     default_sumsq_budget,
     space_argmin,
@@ -241,7 +237,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         rows = run_experiment(config)
         _write_text(out_dir / "results.csv", rows_to_csv(rows))
     report = fit_regimes(rows)
-    _write_text(out_dir / "regimes.json", json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_text(out_dir / "regimes.json", json.dumps(dataclasses.asdict(report), indent=2) + "\n")
 
     q_all = sorted(report.points[0].mean_loss)
     header = ["snr", "beta", "regime", "reps"]
@@ -330,7 +326,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     _require_positive(args.max_iters, "--max-iters")
     X = read_matrix_csv(Path(args.input))
     n = X.n
-    scores = score_adaptive(X, args.kind).values
+    scores = score_adaptive(X, args.kind)
     spread = float(np.max(np.abs(scores - scores.mean())))
     if spread <= 1e-12 * (1.0 + abs(float(scores.mean()))):
         print(
@@ -343,7 +339,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     csq = args.c_n_sq if args.c_n_sq is not None else default_sumsq_budget(n)
     space = RankSpace(n=n, c_n=c, c_n_sq=csq)
     rank, trace = profile_ls_estimate(scores, space, max_iters=args.max_iters)
-    fit = ols_fit(scores, rank.entries)
+    fit = ols_fit(scores, rank)
     pl = trace.objective_path[-1]
     out = Path(args.out)
     lines = [
@@ -356,7 +352,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         f"# match_gap={_fmt(trace.match_gap)}",
         "index,rank",
     ]
-    lines += [f"{i + 1},{rank.entries[i]}" for i in range(n)]
+    lines += [f"{i + 1},{rank[i]}" for i in range(n)]
     _write_text(out, "\n".join(lines) + "\n")
     print(
         f"wrote {out}: a_hat={fit.a_hat:.6g} b_hat={fit.b_hat:.6g} "
@@ -377,7 +373,7 @@ def _oracle_instance(n: int, idx: int, seed: int):
         beta = float(rng.uniform(0.5, 2.0))
         alpha = float(rng.uniform(-2.0, 2.0))
         theta = alpha + beta * np.arange(1, n + 1, dtype=np.float64)
-        r_true = random_feasible_rank(space, derive_seed(seed, 101, idx)).entries
+        r_true = random_feasible_rank(space, derive_seed(seed, 101, idx))
         scores = theta[r_true - 1] + rng.normal(0.0, float(rng.uniform(0.1, 1.0)), n)
     else:
         theta = rng.normal(0.0, 2.0, n)
@@ -410,7 +406,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         # well-separated: permutation truth, SNR in [4, 10] at sigma = 1
         rng = np.random.default_rng(derive_seed(seed, 102, idx))
         target_snr = float(rng.uniform(4.0, 10.0))
-        beta = 2.0 * math.sqrt(target_snr / n)
+        beta = beta_for_snr(n, target_snr, 1.0)
         theta = float(rng.uniform(-2.0, 2.0)) + beta * np.arange(1, n + 1, dtype=np.float64)
         r_true = rng.permutation(n).astype(np.int64) + 1
         scores = theta[r_true - 1] + rng.normal(0.0, 1.0 / math.sqrt(2 * n), n)

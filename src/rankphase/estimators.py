@@ -1,10 +1,11 @@
 """Score computations and rank estimators.
 
 Covers the per-object scores for the comparison and collaboration models
-(with known abilities or fully data-driven), the constrained feature-matching
-estimator, the profile least-squares estimator with its alternating
-feature-match / refit loop, the rank-2 hat-matrix primitives behind it, and
-the small-n least-squares benchmark by enumeration.
+(with known abilities or fully data-driven), returned as float64 arrays;
+the profile least-squares estimator with its alternating feature-match
+(``matching``) / refit loop, the rank-2 hat-matrix primitives behind it, and
+the small-n least-squares benchmark by enumeration.  Ranks go in and come
+out as int64 arrays.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, InputError, MatchBudgetError
-from .matching import exhaustive_feature_match, feature_match, match_objective
+from .matching import feature_match
 from .model import (
     InteractionMatrix,
     ModelSpec,
     RankSpace,
-    RankVector,
     _row_blocks,
     position_mean_table,
     rank_entries,
@@ -32,42 +32,17 @@ DEFAULT_MAX_ITERS = 100
 SLOPE_FLOOR = 1e-12
 
 __all__ = [
-    "ScoreVector",
     "OlsFit",
     "IterationTrace",
     "score_comparison",
     "score_collaboration",
     "score_adaptive",
-    "feature_match",
-    "match_objective",
-    "exhaustive_feature_match",
     "ols_fit",
     "hat_matrix",
     "profile_ls_objective",
     "profile_ls_estimate",
     "lse_brute_force",
 ]
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """One real-valued score per object."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise InputError("scores must be a 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise InputError("scores must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -97,7 +72,6 @@ class IterationTrace:
     iterations: int
     objective_path: tuple[float, ...]
     converged: bool
-    final_rank: RankVector
     negative_slope_iters: tuple[int, ...] = ()
     stalled: bool = False
     match_gap: float = 0.0
@@ -126,13 +100,20 @@ def _row_col_sums(X: InteractionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return row, buf[0].copy()
 
 
+def _finite(scores: np.ndarray) -> np.ndarray:
+    # theta with an inf, or entries near 1e308 whose row sums overflow
+    if not np.all(np.isfinite(scores)):
+        raise InputError("scores must be finite")
+    return scores
+
+
 def _require_n(X: InteractionMatrix, least: int, what: str) -> int:
     if X.n < least:
         raise InputError(f"{what} needs n >= {least}, got n={X.n}")
     return X.n
 
 
-def score_comparison(X: InteractionMatrix, theta) -> ScoreVector:
+def score_comparison(X: InteractionMatrix, theta) -> np.ndarray:
     """Scores for the differential comparison model with known abilities.
 
     S_i = (1/2n) * sum_{j != i} (X_ij - X_ji) + mean(theta).
@@ -142,10 +123,10 @@ def score_comparison(X: InteractionMatrix, theta) -> ScoreVector:
     if th.shape != (n,):
         raise InputError(f"theta must have length {n}")
     row, col = _row_col_sums(X)
-    return ScoreVector((row - col) / (2.0 * n) + th.mean())
+    return _finite((row - col) / (2.0 * n) + th.mean())
 
 
-def score_collaboration(X: InteractionMatrix) -> ScoreVector:
+def score_collaboration(X: InteractionMatrix) -> np.ndarray:
     """Scores for the additive collaboration model.
 
     S_i = (1/(2(n-2))) * (sum_{j != i}(X_ij + X_ji) - grand_sum/(n-1)).
@@ -156,10 +137,10 @@ def score_collaboration(X: InteractionMatrix) -> ScoreVector:
     v = X.zero_diagonal()
     row, col = v.sum(axis=1), v.sum(axis=0)
     grand = float(v.sum())
-    return ScoreVector(((row + col) - grand / (n - 1.0)) / (2.0 * (n - 2.0)))
+    return _finite(((row + col) - grand / (n - 1.0)) / (2.0 * (n - 2.0)))
 
 
-def score_adaptive(X: InteractionMatrix, kind: str) -> ScoreVector:
+def score_adaptive(X: InteractionMatrix, kind: str) -> np.ndarray:
     """Fully data-driven scores; no ability values are used.
 
     kind="comparison":     S_i = (1/2n) * sum_{j != i}(X_ij - X_ji)
@@ -168,14 +149,10 @@ def score_adaptive(X: InteractionMatrix, kind: str) -> ScoreVector:
     n = _require_n(X, 3, "score_adaptive")
     row, col = _row_col_sums(X)
     if kind == "comparison":
-        return ScoreVector((row - col) / (2.0 * n))
+        return _finite((row - col) / (2.0 * n))
     if kind == "collaboration":
-        return ScoreVector((row + col) / (2.0 * (n - 2.0)))
+        return _finite((row + col) / (2.0 * (n - 2.0)))
     raise InputError(f"unknown score kind {kind!r}")
-
-
-def _score_values(scores) -> np.ndarray:
-    return np.asarray(getattr(scores, "values", scores), dtype=np.float64)
 
 
 def ols_fit(scores, r) -> OlsFit:
@@ -184,7 +161,7 @@ def ols_fit(scores, r) -> OlsFit:
     b_hat = (mean(S*r) - mean(r)*mean(S)) / (mean(r^2) - mean(r)^2),
     a_hat = mean(S) - b_hat * mean(r).
     """
-    S = _score_values(scores)
+    S = np.asarray(scores, dtype=np.float64)
     rr = rank_entries(r).astype(np.float64)
     if S.shape != rr.shape:
         raise InputError("scores and ranks must have equal length")
@@ -211,7 +188,7 @@ def hat_matrix(r) -> np.ndarray:
 
 def profile_ls_objective(scores, r) -> float:
     """PL(r) = sum_i (S_i - a_hat - b_hat*r(i))^2 for the OLS fit on r."""
-    S = _score_values(scores)
+    S = np.asarray(scores, dtype=np.float64)
     rr = rank_entries(r).astype(np.float64)
     fit = ols_fit(S, r)
     resid = S - fit.a_hat - fit.b_hat * rr
@@ -228,7 +205,7 @@ def profile_ls_estimate(
     space: RankSpace,
     init=None,
     max_iters: int = DEFAULT_MAX_ITERS,
-) -> tuple[RankVector, IterationTrace]:
+) -> tuple[np.ndarray, IterationTrace]:
     """Minimize the profile least-squares objective by alternating steps.
 
     Each pass feature-matches the scores against the current linear
@@ -242,7 +219,7 @@ def profile_ls_estimate(
     if space.c_n_sq is None:
         raise InputError("profile_ls_estimate needs a restricted space (c_n_sq set)")
     n = space.n
-    S = _score_values(scores)
+    S = np.asarray(scores, dtype=np.float64)
     if S.shape != (n,):
         raise InputError(f"scores must have length {n}")
 
@@ -301,20 +278,18 @@ def profile_ls_estimate(
             stalled = True
             break
 
-    final = RankVector(r_cur)
     trace = IterationTrace(
         iterations=iterations,
         objective_path=tuple(path),
         converged=converged,
-        final_rank=final,
         negative_slope_iters=tuple(negative_slopes),
         stalled=stalled,
         match_gap=match_gap,
     )
-    return final, trace
+    return r_cur, trace
 
 
-def lse_brute_force(X: InteractionMatrix, model: ModelSpec, space: RankSpace) -> RankVector:
+def lse_brute_force(X: InteractionMatrix, model: ModelSpec, space: RankSpace) -> np.ndarray:
     """Exact least-squares rank estimate by enumerating the feasible space.
 
     Minimizes sum_{i != j} (X_ij - mu_{r(i)r(j)})^2; ties broken by
@@ -334,5 +309,4 @@ def lse_brute_force(X: InteractionMatrix, model: ModelSpec, space: RankSpace) ->
         diff = (xv[None, :, :] - mu) * off[None, :, :]
         return np.sum(diff * diff, axis=(1, 2))
 
-    r, _ = space_argmin(space, sq_error)
-    return RankVector(r)
+    return space_argmin(space, sq_error)[0]

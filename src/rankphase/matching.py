@@ -11,16 +11,15 @@ violated:
 
 * The unconstrained per-coordinate nearest position (ties to the smallest
   index).  If that already satisfies the budgets it is optimal.
-* The sum budget alone.  For affine theta (theta_k linear in k) the
+* For affine theta (theta_k linear in k), the sum budget alone.  The
   per-coordinate costs are convex in k, so a marginal-cost greedy projects
   the sum onto the nearest budget boundary exactly; this is the fast path
-  used at experiment scale.  Otherwise the band match below runs over the
-  sum-only space.  A solution that is optimal over the sum-only space and
-  happens to satisfy the sum-of-squares budget is optimal over the
-  restricted space too (the restricted space is a subset), which keeps
+  used at experiment scale.  A solution that is optimal over the sum-only
+  space and happens to satisfy the sum-of-squares budget is optimal over
+  the restricted space too (the restricted space is a subset), which keeps
   this step exact in the common case.
-* When the sum-of-squares budget binds, the band match over the restricted
-  space.
+* Otherwise, or when the sum-of-squares budget binds, the band match over
+  the given space.
 
 The band match takes a Lagrangian lower bound (the budgets relaxed,
 Hochbaum, Math. OR 19(2), 1994) and runs one dynamic program over (sum
@@ -49,30 +48,20 @@ DP_OP_BUDGET = 500_000_000
 AFFINE_DETECT_RTOL = 1e-12
 
 
-def _score_array(scores, n: int) -> np.ndarray:
-    values = getattr(scores, "values", scores)
+def _vector(values, n: int, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != n:
-        raise InputError(f"scores must be a length-{n} vector")
+        raise InputError(f"{name} must be a length-{n} vector")
     if not np.all(np.isfinite(arr)):
-        raise InputError("scores must be finite")
-    return arr
-
-
-def _theta_array(theta, n: int) -> np.ndarray:
-    arr = np.asarray(theta, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != n:
-        raise InputError(f"theta must be a length-{n} vector")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("theta must be finite")
+        raise InputError(f"{name} must be finite")
     return arr
 
 
 def match_objective(scores, theta, r) -> float:
     """sum_i (S_i - theta_{r(i)})^2, accumulated in coordinate order."""
     n = len(np.atleast_1d(np.asarray(r)))
-    S = _score_array(scores, n)
-    th = _theta_array(theta, n)
+    S = _vector(scores, n, "scores")
+    th = _vector(theta, n, "theta")
     rr = np.asarray(r, dtype=np.int64)
     resid = S - th[rr - 1]
     return float(np.sum(resid * resid))
@@ -502,14 +491,14 @@ def feature_match(scores, theta, space: RankSpace) -> np.ndarray:
     """Minimize sum_i (S_i - theta_{r(i)})^2 over the rank space.
 
     Returns the optimal rank entries as an int64 array.  Ladder (module
-    docstring): nearest position; greedy for affine theta, else the band
-    match over the sum-only space; the band match over the restricted
-    space.  Raises MatchBudgetError, carrying a feasible rank and its
-    certified optimality gap, when a band outgrows the DP budgets.
+    docstring): nearest position; the sum-only greedy for affine theta;
+    the band match over the given space.  Raises MatchBudgetError,
+    carrying a feasible rank and its certified optimality gap, when a band
+    outgrows the DP budgets.
     """
     n = space.n
-    S = _score_array(scores, n)
-    th = _theta_array(theta, n)
+    S = _vector(scores, n, "scores")
+    th = _vector(theta, n, "theta")
 
     # past one row block the closed form beats the dense argmin for affine
     # theta; below it, affinity matters only once the nearest position
@@ -523,23 +512,11 @@ def feature_match(scores, theta, space: RankSpace) -> np.ndarray:
     if affine is None:
         affine = is_affine(th)
     if affine:
-        r1, cost = _greedy_sum_repair(S, th, u, space.c_n), None
-    else:
-        cost = (S[:, None] - th[None, :]) ** 2
-        try:
-            r1 = _band_match(cost, RankSpace(n, space.c_n))
-        except MatchBudgetError:
-            if space.c_n_sq is None:
-                raise
-            r1 = None  # its incumbent may break the sum-of-squares budget
-    if space.c_n_sq is None:
-        return r1
-    if r1 is not None and abs(_devs(r1, space)[1]) <= space.c_n_sq:
-        # optimal over the sum-only superset and feasible here, hence optimal
-        return r1
-    if cost is None:
-        cost = (S[:, None] - th[None, :]) ** 2
-    return _band_match(cost, space)
+        r1 = _greedy_sum_repair(S, th, u, space.c_n)
+        if space.c_n_sq is None or abs(_devs(r1, space)[1]) <= space.c_n_sq:
+            # optimal over the sum-only superset and feasible here, hence optimal
+            return r1
+    return _band_match((S[:, None] - th[None, :]) ** 2, space)
 
 
 def exhaustive_feature_match(scores, theta, space: RankSpace) -> tuple[np.ndarray, float]:
@@ -549,8 +526,8 @@ def exhaustive_feature_match(scores, theta, space: RankSpace) -> tuple[np.ndarra
     against.
     """
     n = space.n
-    S = _score_array(scores, n)
-    th = _theta_array(theta, n)
+    S = _vector(scores, n, "scores")
+    th = _vector(theta, n, "theta")
 
     def objective(cand: np.ndarray) -> np.ndarray:
         resid = S[None, :] - th[cand - 1]

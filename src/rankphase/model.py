@@ -1,10 +1,11 @@
 """Core domain objects for approximate ranking from pairwise interactions.
 
 A rank vector assigns an integer latent position r(i) in {1..n} to each of n
-objects; ties are allowed, so r need not be a permutation.  Observed
+objects; ties are allowed, so r need not be a permutation.  Ranks are
+plain int64 arrays, checked by rank_entries at each boundary.  Observed
 interactions X_ij (i != j) are noisy readings of a mean mu_{r(i)r(j)} that
-depends only on the two latent positions.  This module holds the rank/space
-types, the enumeration of a rank space behind every small-n exact
+depends only on the two latent positions.  This module holds the rank
+space, the enumeration of a rank space behind every small-n exact
 estimator, mean-matrix construction for the three supported mean
 structures, the l_q loss family, the exact signal-gap identities used as
 numerical oracles elsewhere in the package, and the SNR/beta conversion.
@@ -69,53 +70,26 @@ def identity_rank(n: int) -> np.ndarray:
 
 
 def rank_entries(r, n: int | None = None) -> np.ndarray:
-    """Coerce a rank vector (RankVector, array, or sequence) to int64 entries.
+    """Coerce a rank vector (array or sequence) to int64 entries.
 
     Validates integrality and, when ``n`` is given, length and the range
     1 <= r(i) <= n.
     """
-    if isinstance(r, RankVector):
-        arr = r.entries
-    else:
-        arr = np.asarray(r)
-        if arr.ndim != 1:
-            raise InputError(f"rank vector must be 1-d, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
-            if not np.all(np.isfinite(arr)) or np.any(rounded != arr):
-                raise InputError("rank entries must be integers")
-            arr = rounded
-        arr = arr.astype(np.int64)
+    arr = np.asarray(r)
+    if arr.ndim != 1:
+        raise InputError(f"rank vector must be 1-d, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        rounded = np.rint(arr)
+        if not np.all(np.isfinite(arr)) or np.any(rounded != arr):
+            raise InputError("rank entries must be integers")
+        arr = rounded
+    arr = arr.astype(np.int64)
     if n is not None:
         if arr.shape[0] != n:
             raise InputError(f"rank vector has length {arr.shape[0]}, expected {n}")
         if arr.size and (arr.min() < 1 or arr.max() > n):
             raise InputError("rank entries must lie in [1, n]")
     return arr
-
-
-@dataclass(frozen=True)
-class RankVector:
-    """Latent positions r(i) in {1..n}; ties allowed, not necessarily a permutation."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = rank_entries(self.entries)
-        n = arr.shape[0]
-        if n < 1:
-            raise InputError("rank vector must be nonempty")
-        if arr.min() < 1 or arr.max() > n:
-            raise InputError("rank entries must lie in [1, n]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def __len__(self) -> int:
-        return self.n
 
 
 def default_sum_budget(n: int) -> int:
@@ -164,10 +138,6 @@ class RankSpace:
     @classmethod
     def default_restricted(cls, n: int) -> "RankSpace":
         return cls(n=n, c_n=default_sum_budget(n), c_n_sq=default_sumsq_budget(n))
-
-    @property
-    def restricted(self) -> bool:
-        return self.c_n_sq is not None
 
     def identity_sum(self) -> int:
         return self.n * (self.n + 1) // 2

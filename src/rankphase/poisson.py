@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import ModelSpec, RankSpace, RankVector, position_mean_table, space_argmin
+from .model import ModelSpec, RankSpace, position_mean_table, space_argmin
 
 __all__ = [
     "PoissonCounts",
@@ -86,7 +86,7 @@ def poisson_log_likelihood(X: PoissonCounts, mu) -> float:
     return float(np.sum(x * np.log(mo) - mo - gammaln(x + 1.0)))
 
 
-def poisson_mle_brute_force(X: PoissonCounts, model: ModelSpec, space: RankSpace) -> RankVector:
+def poisson_mle_brute_force(X: PoissonCounts, model: ModelSpec, space: RankSpace) -> np.ndarray:
     """Exact maximizer of the Poisson likelihood over the rank space.
 
     Enumerates every feasible rank vector; ties broken by lexicographic
@@ -112,8 +112,7 @@ def poisson_mle_brute_force(X: PoissonCounts, model: ModelSpec, space: RankSpace
         terms = (x[None, :, :] * lmu - mu) * off[None, :, :]
         return -(np.sum(terms, axis=(1, 2)) + const)
 
-    r, _ = space_argmin(space, neg_log_likelihood)
-    return RankVector(r)
+    return space_argmin(space, neg_log_likelihood)[0]
 
 
 def cell_affinity_series(mu1: float, mu2: float) -> float:

@@ -31,11 +31,11 @@ from .model import (
     ADDITIVE,
     DIFFERENTIAL,
     ENUMERATION_N_MAX,
+    MODEL_KINDS,
     POISSON_SQRT_LINEAR,
     InteractionMatrix,
     ModelSpec,
     RankSpace,
-    RankVector,
     _ROW_BLOCK,
     _pair_means,
     _row_blocks,
@@ -139,7 +139,7 @@ def generate_poisson(model: ModelSpec, r, seed: int) -> PoissonCounts:
     return PoissonCounts(rng.poisson(mu))
 
 
-def random_feasible_rank(space: RankSpace, seed: int) -> RankVector:
+def random_feasible_rank(space: RankSpace, seed: int) -> np.ndarray:
     """A random member of the space: random permutation plus 2n accepted +-1 moves.
 
     Every candidate move is accepted only if both budgets still hold, so the
@@ -165,7 +165,7 @@ def random_feasible_rank(space: RankSpace, seed: int) -> RankVector:
             continue
         r[i] = cand
         dev1, dev2 = ndev1, ndev2
-    return RankVector(np.array(r, dtype=np.int64))
+    return np.array(r, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ class ExperimentConfig:
     beta_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.model not in (DIFFERENTIAL, ADDITIVE, POISSON_SQRT_LINEAR):
+        if self.model not in MODEL_KINDS:
             raise ConfigError(f"field 'model': unknown model {self.model!r}")
         if self.n < 3:
             raise ConfigError(f"field 'n': must be >= 3, got {self.n}")
@@ -374,13 +374,13 @@ def _run_single(config: ExperimentConfig, grid_index: int, rep: int) -> ResultRo
     if config.true_rank == "identity":
         r_true = identity_rank(config.n)
     else:
-        r_true = random_feasible_rank(space, rank_seed).entries
+        r_true = random_feasible_rank(space, rank_seed)
 
     t0 = time.perf_counter()
     iterations = 0
     if config.model == POISSON_SQRT_LINEAR:
         counts = generate_poisson(model, r_true, noise_seed)
-        r_hat = poisson_mle_brute_force(counts, model, space).entries
+        r_hat = poisson_mle_brute_force(counts, model, space)
     else:
         X = generate_gaussian(model, r_true, config.sigma, noise_seed)
         if config.estimator == "feature_match_oracle_theta":
@@ -388,15 +388,14 @@ def _run_single(config: ExperimentConfig, grid_index: int, rep: int) -> ResultRo
                 scores = score_comparison(X, model.theta)
             else:
                 scores = score_collaboration(X)
-            r_hat = feature_match(scores.values, model.theta, space)
+            r_hat = feature_match(scores, model.theta, space)
         elif config.estimator == "profile_ls_adaptive":
             kind = "comparison" if config.model == DIFFERENTIAL else "collaboration"
             scores = score_adaptive(X, kind)
-            rank, trace = profile_ls_estimate(scores.values, space)
-            r_hat = rank.entries
+            r_hat, trace = profile_ls_estimate(scores, space)
             iterations = trace.iterations
         else:
-            r_hat = lse_brute_force(X, model, space).entries
+            r_hat = lse_brute_force(X, model, space)
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     losses = tuple(loss(q, r_hat, r_true) for q in config.q_list)
@@ -459,17 +458,6 @@ class GridPointSummary:
     median_loss: dict
     recovery_rate: float
 
-    def to_dict(self) -> dict:
-        return {
-            "snr": self.snr,
-            "beta": self.beta,
-            "regime": self.regime,
-            "reps": self.reps,
-            "mean_loss": {str(q): v for q, v in self.mean_loss.items()},
-            "median_loss": {str(q): v for q, v in self.median_loss.items()},
-            "recovery_rate": self.recovery_rate,
-        }
-
 
 @dataclass(frozen=True)
 class RegimeFit:
@@ -483,18 +471,6 @@ class RegimeFit:
     stderr: float
     r2: float
     snr_values: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "q": self.q,
-            "x_axis": self.x_axis,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "stderr": self.stderr,
-            "r2": self.r2,
-            "snr_values": list(self.snr_values),
-        }
 
 
 @dataclass(frozen=True)
@@ -510,15 +486,6 @@ class RegimeReport:
             if f.regime == regime and f.q == q:
                 return f
         return None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "points": [p.to_dict() for p in self.points],
-            "fits": [f.to_dict() for f in self.fits],
-            "recovery_curve": list(self.recovery_curve),
-            "gaps": list(self.gaps),
-        }
 
 
 def _ls_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:

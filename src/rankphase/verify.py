@@ -104,8 +104,8 @@ def _rank_pairs(n: int, count: int, seed: int) -> list[tuple[np.ndarray, np.ndar
     space = RankSpace.default(n)
     pairs = []
     for idx in range(count):
-        r = random_feasible_rank(space, derive_seed(seed, n, idx, 0)).entries
-        r_tilde = random_feasible_rank(space, derive_seed(seed, n, idx, 1)).entries
+        r = random_feasible_rank(space, derive_seed(seed, n, idx, 0))
+        r_tilde = random_feasible_rank(space, derive_seed(seed, n, idx, 1))
         pairs.append((r, r_tilde))
     return pairs
 
@@ -149,7 +149,7 @@ def check_score_comparison(seed, bump):
         for r, _ in _rank_pairs(n, SCORE_INSTANCES, derive_seed(seed, 6, n)):
             theta = rng.normal(0.0, 2.0, n)
             X = InteractionMatrix(build_mean_matrix(ModelSpec.differential(theta), r))
-            s = bump(score_comparison(X, theta).values)
+            s = bump(score_comparison(X, theta))
             delta_r = theta[r - 1].sum() - theta.sum()
             yield _relative_deviation(s, theta[r - 1] - delta_r / n)
 
@@ -162,7 +162,7 @@ def check_score_collaboration(seed, bump):
         for r, _ in _rank_pairs(n, SCORE_INSTANCES, derive_seed(seed, 8, n)):
             theta = rng.normal(0.0, 2.0, n)
             X = InteractionMatrix(build_mean_matrix(ModelSpec.additive(theta), r))
-            s = bump(score_collaboration(X).values)
+            s = bump(score_collaboration(X))
             yield _relative_deviation(s, theta[r - 1])
 
 
@@ -177,7 +177,7 @@ def check_score_adaptive_linear(seed, bump):
             alpha = float(rng.uniform(-4.0, 4.0))
             model = ModelSpec.parametric(DIFFERENTIAL, n, alpha=alpha, beta_tilde=beta)
             X = InteractionMatrix(build_mean_matrix(model, np.arange(1, n + 1)))
-            s = bump(score_adaptive(X, "comparison").values)
+            s = bump(score_adaptive(X, "comparison"))
             yield _relative_deviation(s, beta * i - beta * (n + 1) / 2.0)
 
 
@@ -303,7 +303,7 @@ def check_space_nesting(seed, bump):
         restricted = RankSpace.default_restricted(n)
         base = RankSpace.default(n)
         for idx in range(50):
-            r = random_feasible_rank(restricted, derive_seed(seed, 18, n, idx)).entries
+            r = random_feasible_rank(restricted, derive_seed(seed, 18, n, idx))
             yield bump(0.0 if space_contains(base, r) else 1.0)
 
 

@@ -217,8 +217,8 @@ def test_criterion_7_poisson_mle():
     checked = 0
     pair_idx = 0
     while checked < 20:
-        r = random_feasible_rank(space, derive_seed(77002, pair_idx, 0)).entries
-        r_tilde = random_feasible_rank(space, derive_seed(77002, pair_idx, 1)).entries
+        r = random_feasible_rank(space, derive_seed(77002, pair_idx, 0))
+        r_tilde = random_feasible_rank(space, derive_seed(77002, pair_idx, 1))
         pair_idx += 1
         if np.array_equal(r, r_tilde):
             continue

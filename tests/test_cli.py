@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -129,6 +130,23 @@ class TestSimulateCommand:
 
 
 class TestPhaseDiagramCommand:
+    # sha256 of the reports for configs/phase_diagram_default.json:
+    # regimes.json pins the JSON layout of RegimeReport, curve.csv the table
+    DEFAULT_PINS = {
+        "regimes.json": "e30892dee179acf713e93dfc3a7daa97f475e7b3725b63ba91afadc9ff2f8d73",
+        "curve.csv": "9af05da0d131a562e1e3a97a97916c4b49cef4bd2a7ec7fec7fa7faaf76194b6",
+    }
+
+    def test_default_config_reports_at_pinned_digests(self, tmp_path):
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "phase_diagram_default.json"
+        out, again = tmp_path / "pd", tmp_path / "again"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
+        argv = ["phase-diagram", "--from-results", str(out / "results.csv"), "--out", str(again)]
+        assert main(argv) == 0
+        for directory in (out, again):
+            for name, digest in self.DEFAULT_PINS.items():
+                assert hashlib.sha256((directory / name).read_bytes()).hexdigest() == digest
+
     def test_runs_and_writes_outputs(self, tmp_path):
         cfg = write_config(tmp_path, snr_grid=[0.05, 0.2, 0.8, 2.0], reps=10, n=30)
         out = tmp_path / "pd"

@@ -32,20 +32,20 @@ from conftest import brute_force_pl_min, enumerate_space
 class TestScores:
     def test_comparison_zero_matrix(self):
         X = InteractionMatrix(np.zeros((3, 3)))
-        np.testing.assert_allclose(score_comparison(X, [1.0, 2.0, 3.0]).values, [2, 2, 2])
+        np.testing.assert_allclose(score_comparison(X, [1.0, 2.0, 3.0]), [2, 2, 2])
 
     def test_collaboration_constant_matrix(self):
         X = InteractionMatrix(np.ones((4, 4)))
-        np.testing.assert_allclose(score_collaboration(X).values, 0.5)
+        np.testing.assert_allclose(score_collaboration(X), 0.5)
         X0 = InteractionMatrix(np.zeros((5, 5)))
-        np.testing.assert_allclose(score_collaboration(X0).values, 0.0)
+        np.testing.assert_allclose(score_collaboration(X0), 0.0)
 
     def test_comparison_noiseless_identity(self, rng):
         n = 5
         theta = rng.normal(0, 2, n)
         r = np.array([2, 1, 3, 3, 5])
         X = InteractionMatrix(build_mean_matrix(ModelSpec.differential(theta), r))
-        s = score_comparison(X, theta).values
+        s = score_comparison(X, theta)
         delta = theta[r - 1].sum() - theta.sum()
         expected = theta[r - 1] - delta / n
         assert np.max(np.abs(s - expected) / (1 + np.abs(expected))) < 1e-12
@@ -53,36 +53,36 @@ class TestScores:
     def test_comparison_noiseless_identity_rank(self, rng):
         theta = rng.normal(0, 2, 6)
         X = InteractionMatrix(build_mean_matrix(ModelSpec.differential(theta), np.arange(1, 7)))
-        np.testing.assert_allclose(score_comparison(X, theta).values, theta, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(score_comparison(X, theta), theta, rtol=1e-12, atol=1e-12)
 
     def test_collaboration_noiseless_identity(self, rng):
         n = 5
         theta = rng.normal(0, 2, n)
         r = np.array([1, 2, 2, 4, 5])
         X = InteractionMatrix(build_mean_matrix(ModelSpec.additive(theta), r))
-        s = score_collaboration(X).values
+        s = score_collaboration(X)
         np.testing.assert_allclose(s, theta[r - 1], rtol=1e-12, atol=1e-12)
 
     def test_adaptive_comparison_is_shifted_known_theta_score(self, rng):
         n = 6
         theta = rng.normal(0, 1, n)
         X = InteractionMatrix(rng.normal(0, 1, (n, n)))
-        s_known = score_comparison(X, theta).values
-        s_adap = score_adaptive(X, "comparison").values
+        s_known = score_comparison(X, theta)
+        s_adap = score_adaptive(X, "comparison")
         np.testing.assert_allclose(s_known - theta.mean(), s_adap, rtol=1e-12, atol=1e-14)
 
     def test_adaptive_linear_in_position(self):
         n = 5
         m = ModelSpec.parametric("differential", n, alpha=3.0, beta_tilde=2.0)
         X = InteractionMatrix(build_mean_matrix(m, np.arange(1, n + 1)))
-        s = score_adaptive(X, "comparison").values
+        s = score_adaptive(X, "comparison")
         expected = 2.0 * np.arange(1, n + 1) - 2.0 * (n + 1) / 2.0
         np.testing.assert_allclose(s, expected, rtol=1e-12, atol=1e-12)
 
     def test_adaptive_zero_matrix(self):
         X = InteractionMatrix(np.zeros((4, 4)))
-        assert np.all(score_adaptive(X, "comparison").values == 0)
-        assert np.all(score_adaptive(X, "collaboration").values == 0)
+        assert np.all(score_adaptive(X, "comparison") == 0)
+        assert np.all(score_adaptive(X, "collaboration") == 0)
 
     def test_small_n_rejected(self):
         X = InteractionMatrix(np.zeros((2, 2)))
@@ -108,6 +108,28 @@ class TestScores:
         X = InteractionMatrix(np.zeros((3, 3)))
         with pytest.raises(InputError):
             score_adaptive(X, "product")
+
+    def test_infinite_theta_rejected(self):
+        X = InteractionMatrix(np.zeros((4, 4)))
+        with pytest.raises(InputError, match="scores must be finite"):
+            score_comparison(X, [1.0, 2.0, np.inf, 3.0])
+
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda X: score_comparison(X, np.arange(1.0, X.n + 1)),
+            score_collaboration,
+            lambda X: score_adaptive(X, "comparison"),
+            lambda X: score_adaptive(X, "collaboration"),
+        ],
+        ids=["comparison", "collaboration", "adaptive-comparison", "adaptive-collaboration"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_sums_rejected(self, score):
+        # every entry is finite, but each row sum overflows to inf
+        X = InteractionMatrix(np.full((4, 4), 1e308))
+        with pytest.raises(InputError, match="scores must be finite"):
+            score(X)
 
 
 class TestOls:
@@ -190,7 +212,7 @@ class TestProfileEstimate:
         r_true = np.array([2, 1, 3, 4, 6, 5])
         scores = 0.7 + 1.3 * r_true
         rank, trace = profile_ls_estimate(scores, space)
-        assert list(rank.entries) == list(r_true)
+        assert list(rank) == list(r_true)
         assert trace.iterations <= 2
         assert trace.converged
         assert trace.objective_path[-1] == pytest.approx(0.0, abs=1e-20)
@@ -214,9 +236,9 @@ class TestProfileEstimate:
         reps = 100
         for rep in range(reps):
             X = generate_gaussian(model, np.arange(1, n + 1), 1.0, 300 + rep)
-            s = score_adaptive(X, "comparison").values
+            s = score_adaptive(X, "comparison")
             rank, _ = profile_ls_estimate(s, space, init=np.arange(1, n + 1))
-            recovered += int(np.array_equal(rank.entries, np.arange(1, n + 1)))
+            recovered += int(np.array_equal(rank, np.arange(1, n + 1)))
         assert recovered >= 0.9 * reps
 
     def test_infeasible_init_rejected(self):
@@ -254,7 +276,7 @@ class TestProfileEstimate:
             scores = rng.normal(0, 1, n) + 1.2 * rng.permutation(n)
             r1, _ = profile_ls_estimate(scores, space)
             r2, _ = profile_ls_estimate(scores + 37.5, space)
-            assert list(r1.entries) == list(r2.entries)
+            assert list(r1) == list(r2)
 
     def test_negative_slope_is_flagged_and_survives(self):
         n = 6
@@ -262,7 +284,7 @@ class TestProfileEstimate:
         scores = np.array([6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
         rank, trace = profile_ls_estimate(scores, space, init=np.arange(1, n + 1))
         assert trace.negative_slope_iters
-        assert len(rank.entries) == n
+        assert len(rank) == n
 
     def test_budget_bounded_step_stalls_at_incumbent(self, monkeypatch):
         # from a profile-LS optimum, a step whose matching outgrows the DP
@@ -272,13 +294,13 @@ class TestProfileEstimate:
         scores = np.random.default_rng(0).normal(0.0, 1.0, n)
         start, _ = profile_ls_estimate(scores, space)
         monkeypatch.setattr(matching, "DP_STATE_BUDGET", 50)
-        rank, trace = profile_ls_estimate(scores, space, init=start.entries)
+        rank, trace = profile_ls_estimate(scores, space, init=start)
         assert trace.stalled and not trace.converged
         assert trace.match_gap > 0.0
-        assert space_contains(space, rank.entries)
+        assert space_contains(space, rank)
         path = trace.objective_path
         assert all(path[i + 1] <= path[i] for i in range(len(path) - 1))
-        assert list(rank.entries) == list(start.entries)
+        assert list(rank) == list(start)
 
 
 class TestLseBruteForce:
@@ -287,7 +309,7 @@ class TestLseBruteForce:
         space = RankSpace.default(5)
         r_true = [2, 1, 3, 4, 5]
         X = generate_gaussian(model, r_true, 0.0, 0)
-        assert list(lse_brute_force(X, model, space).entries) == r_true
+        assert list(lse_brute_force(X, model, space)) == r_true
 
     def test_refuses_large_n(self):
         model = ModelSpec.parametric("differential", 7, alpha=0.0, beta_tilde=1.0)
@@ -304,7 +326,7 @@ class TestLseBruteForce:
         X = InteractionMatrix(np.zeros((3, 3)))
         space = RankSpace(3, 1)
         expected = enumerate_space(3, 1)[0]
-        assert list(lse_brute_force(X, model, space).entries) == list(expected)
+        assert list(lse_brute_force(X, model, space)) == list(expected)
 
     def test_pipelines_match_their_exhaustive_objectives(self, rng):
         # each pipeline's returned objective equals its own enumeration
@@ -316,9 +338,9 @@ class TestLseBruteForce:
         candidates = enumerate_space(n, space.c_n)
         off = ~np.eye(n, dtype=bool)
         for t in range(50):
-            r_true = random_feasible_rank(space, 900 + t).entries
+            r_true = random_feasible_rank(space, 900 + t)
             X = generate_gaussian(model, r_true, 1.0, 1900 + t)
-            r_lse = lse_brute_force(X, model, space).entries
+            r_lse = lse_brute_force(X, model, space)
 
             def lse_objective(r):
                 mu = build_mean_matrix(model, r)
@@ -327,13 +349,13 @@ class TestLseBruteForce:
             best = min(lse_objective(r) for r in candidates)
             assert lse_objective(r_lse) == pytest.approx(best, rel=1e-12)
 
-            s = score_comparison(X, model.theta).values
+            s = score_comparison(X, model.theta)
             r_fm = feature_match(s, model.theta, space)
             fm_best = min(float(np.sum((s - model.theta[r - 1]) ** 2)) for r in candidates)
             assert match_objective(s, model.theta, r_fm) == pytest.approx(fm_best, rel=1e-12)
 
         Xn = generate_gaussian(model, [1, 3, 2, 4, 5], 0.0, 1)
-        r_lse = lse_brute_force(Xn, model, space).entries
-        s = score_comparison(Xn, model.theta).values
+        r_lse = lse_brute_force(Xn, model, space)
+        s = score_comparison(Xn, model.theta)
         r_fm = feature_match(s, model.theta, space)
         assert list(r_lse) == [1, 3, 2, 4, 5] == list(r_fm)

@@ -373,9 +373,8 @@ def test_sum_only_band_equals_full_dp(monkeypatch, n):
 
 @pytest.mark.parametrize("restricted", [False, True])
 def test_budget_error_on_non_affine_theta(monkeypatch, restricted):
-    # over budget, a non-affine instance still yields a certified incumbent;
-    # the sum-only step's incumbent here breaks the sum-of-squares budget, so
-    # the restricted space must take its own band's incumbent instead
+    # over budget, a non-affine instance still yields a certified incumbent,
+    # from the band over the given space, feasible in it
     rng = np.random.default_rng(13)
     n = 50
     space = RankSpace(n, 2, n) if restricted else RankSpace(n, 2)

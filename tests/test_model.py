@@ -6,7 +6,6 @@ from rankphase import (
     InteractionMatrix,
     ModelSpec,
     RankSpace,
-    RankVector,
     beta_for_snr,
     build_mean_matrix,
     default_sum_budget,
@@ -20,27 +19,27 @@ from rankphase import (
     space_contains,
 )
 from rankphase import model as model_module
-from rankphase.model import space_argmin
+from rankphase.model import rank_entries, space_argmin
 from rankphase.simulate import random_feasible_rank
 
 from conftest import enumerate_space
 
 
-class TestRankVector:
+class TestRankEntries:
     def test_ties_allowed(self):
-        r = RankVector(np.array([2, 2, 3]))
-        assert r.n == 3
-        assert list(r.entries) == [2, 2, 3]
+        r = rank_entries(np.array([2, 2, 3]), 3)
+        assert r.dtype == np.int64
+        assert list(r) == [2, 2, 3]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InputError):
-            RankVector(np.array([0, 1, 2]))
+            rank_entries(np.array([0, 1, 2]), 3)
         with pytest.raises(InputError):
-            RankVector(np.array([1, 2, 4]))
+            rank_entries(np.array([1, 2, 4]), 3)
 
     def test_non_integer_rejected(self):
         with pytest.raises(InputError):
-            RankVector(np.array([1.5, 2.0, 3.0]))
+            rank_entries(np.array([1.5, 2.0, 3.0]), 3)
 
     def test_identity(self):
         assert list(identity_rank(4)) == [1, 2, 3, 4]

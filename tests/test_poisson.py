@@ -75,7 +75,7 @@ class TestMleBruteForce:
         reps = 30
         for rep in range(reps):
             counts = generate_poisson(model, np.arange(1, n + 1), 4000 + rep)
-            r_hat = poisson_mle_brute_force(counts, model, space).entries
+            r_hat = poisson_mle_brute_force(counts, model, space)
             recovered += int(np.array_equal(r_hat, np.arange(1, n + 1)))
         assert recovered >= 0.8 * reps
 
@@ -84,7 +84,7 @@ class TestMleBruteForce:
         counts = generate_poisson(model, [1, 2, 3], 7)
         space = RankSpace(3, 1)
         expected = enumerate_space(3, 1)[0]
-        assert list(poisson_mle_brute_force(counts, model, space).entries) == list(expected)
+        assert list(poisson_mle_brute_force(counts, model, space)) == list(expected)
 
     def test_refuses_large_n(self):
         model = ModelSpec.poisson_sqrt_linear(7, alpha=50.0, beta_tilde=1.0)
@@ -147,8 +147,8 @@ def test_chernoff_bound_monte_carlo(rng):
     space = RankSpace.default(n)
     draws = 200
     for pair_idx in range(10):
-        r = random_feasible_rank(space, 7000 + pair_idx).entries
-        r_tilde = random_feasible_rank(space, 8000 + pair_idx).entries
+        r = random_feasible_rank(space, 7000 + pair_idx)
+        r_tilde = random_feasible_rank(space, 8000 + pair_idx)
         if np.array_equal(r, r_tilde):
             continue
         mu_r = build_mean_matrix(model, r)
