@@ -99,8 +99,10 @@ def read_rows_csv(path: Path) -> list[ResultRow]:
     ]
     if not lines or lines[0][1] != CSV_HEADER:
         raise InputError(f"{path}: missing or unexpected result CSV header")
+    # a grid point is an (snr, beta) pair, numbered in order of appearance:
+    # with sigma = 0 every point has snr inf, and only beta tells them apart
+    grid: dict[tuple, int] = {}
     grouped: dict[tuple, dict] = {}
-    snr_order: list[float] = []
     for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(_CSV_COLUMNS):
@@ -125,42 +127,33 @@ def read_rows_csv(path: Path) -> list[ResultRow]:
                 raise InputError(f"{where}: must be >= 3, got {cell!r}")
             values.append(value)
         model, n, snr, beta, sigma, est, q, rep, seed, lv, exact, iters, wall = values
-        if snr not in snr_order:
-            snr_order.append(snr)
-        rec = grouped.setdefault(
-            (model, n, snr, rep),
-            {
-                "beta": beta,
-                "sigma": sigma,
-                "estimator": est,
-                "seed": seed,
-                "exact": exact == "1",
-                "iters": iters,
-                "wall": wall,
-                "qs": [],
-                "losses": [],
-            },
-        )
+        point = grid.setdefault((snr, beta), len(grid))
+        rec = grouped.setdefault((point, rep), {"first": values, "qs": [], "losses": []})
+        if q in rec["qs"]:
+            raise InputError(
+                f"{path}: line {lineno}: repeated (snr, beta, rep, q) = ({snr}, {beta}, {rep}, {q})"
+            )
         rec["qs"].append(q)
         rec["losses"].append(lv)
     rows = []
-    for (model, n, snr, rep), rec in grouped.items():
+    for (point, rep), rec in grouped.items():
+        model, n, snr, beta, sigma, est, _, _, seed, _, exact, iters, wall = rec["first"]
         rows.append(
             ResultRow(
                 model=model,
                 n=n,
                 snr=snr,
-                beta=rec["beta"],
-                sigma=rec["sigma"],
-                estimator=rec["estimator"],
+                beta=beta,
+                sigma=sigma,
+                estimator=est,
                 rep=rep,
-                seed=rec["seed"],
+                seed=seed,
                 q_list=tuple(rec["qs"]),
                 losses=tuple(rec["losses"]),
-                exact_recovery=rec["exact"],
-                iterations=rec["iters"],
-                wall_time_ms=rec["wall"],
-                grid_index=snr_order.index(snr),
+                exact_recovery=exact == "1",
+                iterations=iters,
+                wall_time_ms=wall,
+                grid_index=point,
             )
         )
     rows.sort(key=lambda r: (r.grid_index, r.rep))

@@ -101,7 +101,8 @@ def _row_col_sums(X: InteractionMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _finite(scores: np.ndarray) -> np.ndarray:
-    # theta with an inf, or entries near 1e308 whose row sums overflow
+    # theta with an inf, or entries near 1e308 whose row sums overflow (the
+    # score functions silence numpy's warnings for what this rejects)
     if not np.all(np.isfinite(scores)):
         raise InputError("scores must be finite")
     return scores
@@ -122,8 +123,9 @@ def score_comparison(X: InteractionMatrix, theta) -> np.ndarray:
     th = np.asarray(theta, dtype=np.float64)
     if th.shape != (n,):
         raise InputError(f"theta must have length {n}")
-    row, col = _row_col_sums(X)
-    return _finite((row - col) / (2.0 * n) + th.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        row, col = _row_col_sums(X)
+        return _finite((row - col) / (2.0 * n) + th.mean())
 
 
 def score_collaboration(X: InteractionMatrix) -> np.ndarray:
@@ -135,9 +137,10 @@ def score_collaboration(X: InteractionMatrix) -> np.ndarray:
     # one zero-diagonal copy: its grand sum is pairwise over all n^2
     # entries, which a sum of row-block sums would not reproduce bit for bit
     v = X.zero_diagonal()
-    row, col = v.sum(axis=1), v.sum(axis=0)
-    grand = float(v.sum())
-    return _finite(((row + col) - grand / (n - 1.0)) / (2.0 * (n - 2.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        row, col = v.sum(axis=1), v.sum(axis=0)
+        grand = float(v.sum())
+        return _finite(((row + col) - grand / (n - 1.0)) / (2.0 * (n - 2.0)))
 
 
 def score_adaptive(X: InteractionMatrix, kind: str) -> np.ndarray:
@@ -147,11 +150,12 @@ def score_adaptive(X: InteractionMatrix, kind: str) -> np.ndarray:
     kind="collaboration":  S_i = (1/(2(n-2))) * sum_{j != i}(X_ij + X_ji)
     """
     n = _require_n(X, 3, "score_adaptive")
-    row, col = _row_col_sums(X)
-    if kind == "comparison":
-        return _finite((row - col) / (2.0 * n))
-    if kind == "collaboration":
-        return _finite((row + col) / (2.0 * (n - 2.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        row, col = _row_col_sums(X)
+        if kind == "comparison":
+            return _finite((row - col) / (2.0 * n))
+        if kind == "collaboration":
+            return _finite((row + col) / (2.0 * (n - 2.0)))
     raise InputError(f"unknown score kind {kind!r}")
 
 

@@ -4,7 +4,7 @@ The matching problem: given per-object scores S_i and per-position ability
 values theta_k, find the rank vector r in the feasible space minimizing
 sum_i (S_i - theta_{r(i)})^2.  The feasible space couples the coordinates
 only through the sum budget |sum r - sum i| <= c_n and, for the restricted
-space, the additional |sum r^2 - sum i^2| <= c'_n.
+space, the additional |sum r^2 - sum i^2| <= c'_n (RankSpace.admits).
 
 Solver ladder, each step run only when the one before it leaves a budget
 violated:
@@ -21,13 +21,13 @@ violated:
 * Otherwise, or when the sum-of-squares budget binds, the band match over
   the given space.
 
-The band match takes a Lagrangian lower bound (the budgets relaxed,
-Hochbaum, Math. OR 19(2), 1994) and runs one dynamic program over (sum
-deviation, sum-of-squares deviation), the latter pinned at 0 in a sum-only
-space, only over positions and partial assignments whose reduced cost stays
-within a band tau.  tau widens until the best rank in the band is within
-tau of the bound, which proves it optimal.  A band that outgrows the
-budgets raises MatchBudgetError with a feasible rank and its certified
+The band match, on the cost table it is given and overwrites, takes a
+Lagrangian lower bound (the budgets relaxed, Hochbaum, Math. OR 19(2),
+1994) and runs one dynamic program over (sum deviation, sum-of-squares
+deviation) only over positions and partial assignments whose reduced cost
+stays within a band tau.  tau widens until the best rank in the band is
+within tau of the bound, which proves it optimal.  A band that outgrows
+the budgets raises MatchBudgetError with a feasible rank and its certified
 gap; no branch returns an uncertified answer.
 """
 
@@ -38,7 +38,7 @@ import heapq
 import numpy as np
 
 from .errors import InputError, MatchBudgetError, RankPhaseError
-from .model import RankSpace, _ROW_BLOCK, _row_blocks, space_argmin
+from .model import RankSpace, _ROW_BLOCK, _row_blocks, rank_entries, space_argmin
 
 # Budgets for the dynamic program: total number of states, and transitions
 # (states times the positions each may move to).
@@ -59,11 +59,10 @@ def _vector(values, n: int, name: str) -> np.ndarray:
 
 def match_objective(scores, theta, r) -> float:
     """sum_i (S_i - theta_{r(i)})^2, accumulated in coordinate order."""
-    n = len(np.atleast_1d(np.asarray(r)))
+    n = np.size(theta)
     S = _vector(scores, n, "scores")
     th = _vector(theta, n, "theta")
-    rr = np.asarray(r, dtype=np.int64)
-    resid = S - th[rr - 1]
+    resid = S - th[rank_entries(r, n) - 1]
     return float(np.sum(resid * resid))
 
 
@@ -114,16 +113,10 @@ def _dense_nearest(S: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return k
 
 
-def _devs(r: np.ndarray, space: RankSpace) -> tuple[int, int]:
-    dev1 = int(r.sum()) - space.identity_sum()
-    dev2 = int(np.dot(r, r)) - space.identity_sumsq()
-    return dev1, dev2
-
-
 def _greedy_sum_repair(
-    S: np.ndarray, theta: np.ndarray, u: np.ndarray, c: int
+    S: np.ndarray, theta: np.ndarray, u: np.ndarray, dev: int, c: int
 ) -> np.ndarray:
-    """Project the unconstrained solution onto the sum window.
+    """Project the unconstrained solution, dev off the identity's sum, onto the sum window.
 
     Exact for costs convex in the position index: the constrained optimum
     sits at the window boundary nearest the unconstrained sum, and the
@@ -131,8 +124,6 @@ def _greedy_sum_repair(
     the globally cheapest unit step is optimal.
     """
     n = u.shape[0]
-    id_sum = n * (n + 1) // 2
-    dev = int(u.sum()) - id_sum
     if abs(dev) <= c:
         return u
     r = u.copy()
@@ -161,9 +152,7 @@ def _greedy_sum_repair(
     return r
 
 
-def _window_bounds(
-    step_lo: np.ndarray, step_hi: np.ndarray, c: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _window_bounds(step_lo: np.ndarray, step_hi: np.ndarray, c: int) -> tuple[list, list]:
     """Per-coordinate window of cumulative deviations worth keeping.
 
     step_lo[i] and step_hi[i] bound the deviation coordinate i can add.  A
@@ -176,7 +165,7 @@ def _window_bounds(
     fut_hi = step_hi.sum() - reach_hi
     lo = np.maximum(reach_lo, -c - fut_hi)
     hi = np.minimum(reach_hi, c - fut_lo)
-    return lo, hi
+    return lo.tolist(), hi.tolist()
 
 
 def _keep_cheapest(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
@@ -211,8 +200,9 @@ def _dp_match(
 ) -> np.ndarray | None:
     """Exact DP over (sum deviation, sum-of-squares deviation) on a reduced-cost band.
 
-    cost[i, k-1] is coordinate i's cost at position k.  In a sum-only space
-    the sum-of-squares deviation is pinned at 0.  Coordinate i may take
+    cost[i, k-1] is coordinate i's cost at position k, which moves the sum
+    by k - i - 1 and the sum of squares by k^2 - (i + 1)^2; in a sum-only
+    space the sum-of-squares deviation is pinned at 0.  Coordinate i may take
     position k only when reduced[i, k-1] <= tau, and a partial assignment is
     kept only while its accumulated reduced cost is at most tau.
     reduced=None allows every position and state: the full DP.  Only
@@ -224,27 +214,23 @@ def _dp_match(
     DP_STATE_BUDGET or the transitions DP_OP_BUDGET.
     """
     n = space.n
-    c = space.c_n
-    csq = 0 if space.c_n_sq is None else space.c_n_sq
+    restricted = space.c_n_sq is not None
     if reduced is None:
         reduced = np.zeros_like(cost)
     allowed = reduced <= tau
     if not allowed.any(axis=1).all():
         return None
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    step1 = idx[None, :] - idx[:, None]
-    step2 = idx[None, :] ** 2 - idx[:, None] ** 2
-    if space.c_n_sq is None:
-        step2 = np.zeros_like(step2)
-    big = np.iinfo(np.int64).max // 4
 
-    def band_window(step, budget):
-        step_lo = np.where(allowed, step, big).min(axis=1)
-        step_hi = np.where(allowed, step, -big).max(axis=1)
-        return [v.tolist() for v in _window_bounds(step_lo, step_hi, budget)]
+    def moves(i, k):
+        return k - i, ((k + 1) ** 2 - (i + 1) ** 2) * restricted
 
-    lo1, hi1 = band_window(step1, c)
-    lo2, hi2 = band_window(step2, csq)
+    # both moves grow with k, so a row's extremes sit at its first and last
+    # allowed position
+    rows = np.arange(n)
+    lo = moves(rows, allowed.argmax(axis=1))
+    hi = moves(rows, n - 1 - allowed[:, ::-1].argmax(axis=1))
+    lo1, hi1 = _window_bounds(lo[0], hi[0], space.c_n)
+    lo2, hi2 = _window_bounds(lo[1], hi[1], space.c_n_sq or 0)
 
     # live states of the current layer, sorted by (dev1, dev2)
     dev1 = np.zeros(1, dtype=np.int64)
@@ -261,8 +247,9 @@ def _dp_match(
             # one position: every state shifts alike and stays sorted and
             # distinct; the window and band checks wait for a later row
             k = int(ks[0])
-            dev1 = dev1 + step1[i, k]
-            dev2 = dev2 + step2[i, k]
+            s1, s2 = moves(i, k)
+            dev1 = dev1 + s1
+            dev2 = dev2 + s2
             val = val + cost[i, k]
             red = red + reduced[i, k]
             parents.append(None)
@@ -275,7 +262,7 @@ def _dp_match(
         parts: list[tuple[np.ndarray, ...]] = []
         merged = size = 0
         for k in ks.tolist():
-            s1, s2 = int(step1[i, k]), int(step2[i, k])
+            s1, s2 = moves(i, k)
             # dev1 is sorted, so the states landing in its window form a slice
             a = int(np.searchsorted(dev1, lo1[i] - s1, side="left"))
             b = int(np.searchsorted(dev1, hi1[i] - s1, side="right"))
@@ -309,7 +296,7 @@ def _dp_match(
         parents.append(par)
         picks.append(pick)
 
-    final = np.flatnonzero((np.abs(dev1) <= c) & (np.abs(dev2) <= csq) & (red <= tau))
+    final = np.flatnonzero(space.admits(dev1, dev2) & (red <= tau))
     if final.shape[0] == 0:
         return None
     j = int(final[np.argmin(val[final])])
@@ -404,7 +391,7 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     """
     n = space.n
     c = space.c_n
-    csq = 0 if space.c_n_sq is None else space.c_n_sq
+    csq = space.c_n_sq or 0
     t1, t2 = space.identity_sum(), space.identity_sumsq()
     pos = np.arange(1, n + 1, dtype=np.float64)
     rows = np.arange(n)
@@ -421,11 +408,10 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
             k = np.argmin(a, axis=1)
             r = k + 1
             value = float(np.sum(a[rows, k])) - lam * t2 - mu * t1 - abs(lam) * csq - abs(mu) * c
-            dev1 = int(r.sum()) - t1
-            dev2 = 0 if space.c_n_sq is None else int(r @ r) - t2
+            dev1, dev2 = map(int, space.deviations(r))
             if value > best[0]:
                 best = (value, lam, mu)
-            if abs(dev1) <= c and abs(dev2) <= csq:
+            if space.admits(dev1, dev2):
                 obj = float(np.sum(cost[rows, k]))
                 if obj < inc_cost:
                     incumbent, inc_cost = r, obj
@@ -446,9 +432,10 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     else:
         _maximize_concave(over_mu, spread / (n * n))
     lb, lam, mu = best
-    a = cost + lam * pos * pos + mu * pos
-    reduced = a - a.min(axis=1, keepdims=True)
-    slack = 1e-12 * float(np.abs(a).max(axis=1).sum())
+    reduced = cost + lam * pos * pos + mu * pos
+    low = reduced.min(axis=1, keepdims=True)
+    slack = 1e-12 * float(np.maximum(reduced.max(axis=1), -low[:, 0]).sum())
+    reduced -= low
     return lb, reduced, slack, incumbent
 
 
@@ -462,23 +449,24 @@ def _band_match(cost: np.ndarray, space: RankSpace) -> np.ndarray:
     widens fourfold, up to incumbent - LB, until the incumbent is within
     tau of LB, which proves it optimal.  Raises MatchBudgetError with the
     incumbent and its certified gap when a band outgrows the DP budgets.
+
+    Takes ownership of cost and overwrites it with each row's excess over its
+    minimum, which keeps bound, gaps and DP precise when the costs are large
+    but nearly flat; no other n x n copy of the costs is made.
     """
     n = space.n
     rows = np.arange(n)
-    # bound and gaps are taken on each row's excess over its minimum, which
-    # keeps their precision when the costs are large but nearly flat
-    excess = cost - cost.min(axis=1, keepdims=True)
-    lb, reduced, slack, incumbent = _lagrangian_bound(excess, space)
-    gap = float(np.sum(excess[rows, incumbent - 1])) - lb
-    second = np.partition(reduced, 1, axis=1)[:, 1]
-    tau = min(gap / 64.0, float(np.median(second)))
+    cost -= cost.min(axis=1, keepdims=True)
+    lb, reduced, slack, incumbent = _lagrangian_bound(cost, space)
+    gap = float(np.sum(cost[rows, incumbent - 1])) - lb
+    tau = min(gap / 64.0, float(np.median(np.partition(reduced, 1, axis=1)[:, 1])))
     while gap > 0.0:
         try:
             banded = _dp_match(cost, space, reduced, tau + slack)
         except MatchBudgetError:
             raise MatchBudgetError(incumbent, gap) from None
         if banded is not None:
-            banded_gap = float(np.sum(excess[rows, banded - 1])) - lb
+            banded_gap = float(np.sum(cost[rows, banded - 1])) - lb
             if banded_gap <= gap:
                 incumbent, gap = banded, banded_gap
         if gap <= tau:
@@ -505,15 +493,15 @@ def feature_match(scores, theta, space: RankSpace) -> np.ndarray:
     # breaks a budget
     affine = is_affine(th) if n * n > _ROW_BLOCK else None
     u = _unconstrained(S, th, bool(affine))
-    dev1, dev2 = _devs(u, space)
-    if abs(dev1) <= space.c_n and (space.c_n_sq is None or abs(dev2) <= space.c_n_sq):
+    dev1, dev2 = space.deviations(u)
+    if space.admits(dev1, dev2):
         return u
 
     if affine is None:
         affine = is_affine(th)
     if affine:
-        r1 = _greedy_sum_repair(S, th, u, space.c_n)
-        if space.c_n_sq is None or abs(_devs(r1, space)[1]) <= space.c_n_sq:
+        r1 = _greedy_sum_repair(S, th, u, dev1, space.c_n)
+        if space.admits(*space.deviations(r1)):
             # optimal over the sum-only superset and feasible here, hence optimal
             return r1
     return _band_match((S[:, None] - th[None, :]) ** 2, space)

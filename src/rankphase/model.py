@@ -113,7 +113,8 @@ class RankSpace:
     """Feasible rank vectors: |sum r - sum i| <= c_n, optionally |sum r^2 - sum i^2| <= c_n_sq.
 
     The sum-of-squares budget is present exactly when the space is the
-    restricted one used by the profile least-squares estimator.
+    restricted one used by the profile least-squares estimator.  The budget
+    rule is written once, in deviations and admits.
     """
 
     n: int
@@ -145,18 +146,22 @@ class RankSpace:
     def identity_sumsq(self) -> int:
         return self.n * (self.n + 1) * (2 * self.n + 1) // 6
 
+    def deviations(self, r: np.ndarray):
+        """(sum r - sum i, sum r^2 - sum i^2) along r's last axis; the latter 0 if unbudgeted."""
+        dev1 = r.sum(axis=-1) - self.identity_sum()
+        if self.c_n_sq is None:
+            return dev1, 0
+        return dev1, (r * r).sum(axis=-1) - self.identity_sumsq()
+
+    def admits(self, dev1, dev2):
+        """Whether deviations lie within the budgets; elementwise on arrays."""
+        within = abs(dev1) <= self.c_n
+        return within if self.c_n_sq is None else within & (abs(dev2) <= self.c_n_sq)
+
 
 def space_contains(space: RankSpace, r) -> bool:
     """True iff r satisfies the sum (and, if present, sum-of-squares) budget."""
-    arr = rank_entries(r, space.n)
-    dev = int(arr.sum()) - space.identity_sum()
-    if abs(dev) > space.c_n:
-        return False
-    if space.c_n_sq is not None:
-        dev2 = int(np.dot(arr, arr)) - space.identity_sumsq()
-        if abs(dev2) > space.c_n_sq:
-            return False
-    return True
+    return bool(space.admits(*space.deviations(rank_entries(r, space.n))))
 
 
 @functools.lru_cache(maxsize=8)
@@ -167,10 +172,7 @@ def _space_members(space: RankSpace) -> np.ndarray:
     """
     n = space.n
     cand = np.indices((n,) * n, dtype=np.int64).reshape(n, -1).T + 1
-    keep = np.abs(cand.sum(axis=1) - space.identity_sum()) <= space.c_n
-    if space.c_n_sq is not None:
-        keep &= np.abs((cand * cand).sum(axis=1) - space.identity_sumsq()) <= space.c_n_sq
-    cand = cand[keep]
+    cand = cand[space.admits(*space.deviations(cand))]
     cand.setflags(write=False)
     return cand
 

@@ -151,6 +151,8 @@ def random_feasible_rank(space: RankSpace, seed: int) -> np.ndarray:
     # one (coordinate, direction) pair per move, drawn in the order a move
     # at a time would draw them
     moves = rng.integers(0, np.tile([n, 2], 2 * n)).reshape(-1, 2).tolist()
+    # the budget test is RankSpace.admits written out on Python ints, kept
+    # incremental: a method call per move would slow this loop
     dev1, dev2 = 0, 0
     for i, up in moves:
         d = 1 if up else -1
@@ -205,6 +207,10 @@ class ExperimentConfig:
                 raise ConfigError("field 'beta_grid': length must match snr_grid")
             if any(not b > 0 for b in self.beta_grid):
                 raise ConfigError("field 'beta_grid': all beta values must be > 0")
+            if len(set(self.beta_grid)) < len(self.beta_grid):
+                raise ConfigError("field 'beta_grid': values must be distinct")
+        elif len(set(self.snr_grid)) < len(self.snr_grid):
+            raise ConfigError("field 'snr_grid': values must be distinct")
         if self.reps < 1:
             raise ConfigError(f"field 'reps': must be >= 1, got {self.reps}")
         if self.estimator not in ESTIMATORS:

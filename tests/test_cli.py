@@ -236,6 +236,35 @@ class TestPhaseDiagramCommand:
         assert main(argv) == 0
         assert (again / "regimes.json").read_text() == (out / "regimes.json").read_text()
 
+    def test_from_results_keeps_noiseless_points_apart(self, tmp_path):
+        # with sigma = 0 both grid points have snr inf; only beta separates them
+        cfg = tmp_path / "noiseless.json"
+        cfg.write_text(json.dumps(dict(
+            model="differential", n=20, sigma=0.0, beta_grid=[0.5, 1.0], reps=2,
+            master_seed=7, estimator="feature_match_oracle_theta",
+        )))
+        out, again = tmp_path / "pd", tmp_path / "pd2"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
+        argv = ["phase-diagram", "--from-results", str(out / "results.csv"), "--out", str(again)]
+        assert main(argv) == 0
+        for name in ("regimes.json", "curve.csv"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+        assert len((again / "curve.csv").read_text().splitlines()) == 1 + 2
+
+    def test_repeated_snr_config_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, snr_grid=[1.0, 1.0, 4.0])
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(tmp_path / "pd")]) == 2
+        assert "snr_grid" in capsys.readouterr().err
+
+    def test_from_results_repeated_line_exit_2(self, tmp_path, capsys):
+        row = "differential,20,0.5,0.1,1,feature_match_oracle_theta,2,0,0,0.5,1,0,0"
+        src = tmp_path / "rows.csv"
+        src.write_text(f"{CSV_HEADER}\n{row}\n{row}\n")
+        argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(src) in err and "line 3" in err and "repeated" in err
+
     def test_from_results_missing_file_exit_2(self, tmp_path, capsys):
         src = tmp_path / "absent.csv"
         argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
@@ -382,6 +411,16 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(path), "--kind", "comparison",
                      "--out", str(tmp_path / "x.txt")]) == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["comparison", "collaboration"])
+    def test_overflowing_input_rejected_without_numpy_warnings(self, tmp_path, capsys, kind):
+        # every entry is finite, but the row sums overflow to inf
+        path = write_matrix(tmp_path, np.full((4, 4), 1e308))
+        code = main(["estimate", "--input", str(path), "--kind", kind,
+                     "--out", str(tmp_path / "x.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: scores must be finite\n"
 
     def test_too_small_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

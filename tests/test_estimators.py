@@ -124,7 +124,7 @@ class TestScores:
         ],
         ids=["comparison", "collaboration", "adaptive-comparison", "adaptive-collaboration"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_sums_rejected(self, score):
         # every entry is finite, but each row sum overflows to inf
         X = InteractionMatrix(np.full((4, 4), 1e308))

@@ -77,6 +77,13 @@ def test_exhaustive_reference_agrees_with_test_oracle(rng):
         assert list(r_lib) == list(r_ora)
 
 
+@pytest.mark.parametrize("r", [[0, 2, 3], [1, 2, 4], [1, 2]])
+def test_match_objective_rejects_ranks_outside_positions(r):
+    # a 0 entry used to read theta[-1], and an entry above n to raise IndexError
+    with pytest.raises(InputError):
+        match_objective([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], r)
+
+
 def test_exhaustive_refuses_large_n():
     with pytest.raises(InputError):
         exhaustive_feature_match(np.zeros(7), np.zeros(7), RankSpace(7, 1))

@@ -64,6 +64,18 @@ class TestRankSpace:
         assert space_contains(RankSpace(4, 1), [1, 2, 3, 4])
         assert space_contains(RankSpace(4, 1), [1, 2, 3, 3])
         assert not space_contains(RankSpace(4, 1), [1, 1, 1, 1])
+        # deviations and admits work along the last axis of a (k, n) block
+        block = np.array([[1, 2, 3, 4], [1, 2, 3, 3], [2, 2, 3, 4], [1, 1, 4, 4]])
+        space = RankSpace(4, 1, 3)
+        dev1, dev2 = space.deviations(block)
+        assert dev1.tolist() == [0, -1, 1, 0]
+        assert dev2.tolist() == [0, -7, 3, 4]
+        assert space.admits(dev1, dev2).tolist() == [True, False, True, False]
+        assert [space_contains(space, r) for r in block] == [True, False, True, False]
+        assert space.admits(1, -3) is True and space.admits(2, 0) is False
+        sum_only = RankSpace(4, 1)
+        assert sum_only.deviations(block)[1] == 0
+        assert sum_only.admits(*sum_only.deviations(block)).all()
 
     def test_restricted_subset_of_base(self):
         restricted = RankSpace.default_restricted(12)

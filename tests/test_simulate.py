@@ -30,6 +30,7 @@ from rankphase import (
     summarize_grid,
 )
 import rankphase.simulate as simulate_module
+from rankphase import matching
 from rankphase.cli import rows_to_csv
 from rankphase.matching import feature_match
 from rankphase.model import _row_blocks
@@ -229,6 +230,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             self.base(q_list=(0.0, 3.0))
 
+    def test_grid_values_distinct(self):
+        # results.csv keys a grid point by (snr, beta); a repeated value
+        # would merge two points when the results are read back
+        with pytest.raises(ConfigError, match="field 'snr_grid'"):
+            self.base(snr_grid=(1.0, 1.0, 4.0))
+        with pytest.raises(ConfigError, match="field 'beta_grid'"):
+            self.base(sigma=0.0, snr_grid=(math.inf,) * 2, beta_grid=(0.5, 0.5))
+        self.base(sigma=0.0, snr_grid=(math.inf,) * 2, beta_grid=(0.5, 1.0))
+
     def test_from_dict_unknown_field(self):
         with pytest.raises(ConfigError, match="bogus"):
             ExperimentConfig.from_dict(
@@ -349,6 +359,39 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert peak < 1.3 * n * n * 8
+
+    @pytest.mark.parametrize("model", ["differential", "additive"])
+    def test_profile_band_peak_memory(self, monkeypatch, model):
+        # at SNR 1e-2 the restricted band match runs: it overwrites the cost
+        # table and computes its DP moves, so the traced peak is about four
+        # n x n float64 arrays (X, the costs, the bound's two tables); it was
+        # about eight when each stage kept its own tables
+        n = 400
+        cfg = ExperimentConfig(
+            model=model,
+            n=n,
+            snr_grid=(1e-2,),
+            reps=1,
+            master_seed=20260810,
+            estimator="profile_ls_adaptive",
+        )
+        simulate_module._run_single(cfg, 0, 0)
+        calls = []
+        band_match = matching._band_match
+
+        def counted(*args):
+            calls.append(1)
+            return band_match(*args)
+
+        monkeypatch.setattr(matching, "_band_match", counted)
+        tracemalloc.start()
+        try:
+            simulate_module._run_single(cfg, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls
+        assert peak < 5 * n * n * 8
 
     def test_poisson_brute_force_grid(self):
         cfg = ExperimentConfig(
