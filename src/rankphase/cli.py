@@ -47,6 +47,8 @@ _CSV_COLUMNS = tuple(
         (str, int, float, float, float, str, float, int, int, float, str, int, float),
     )
 )
+# Columns one experiment writes the same in every row.
+_SHARED_COLUMNS = ("model", "n", "sigma", "estimator")
 
 
 def _fmt(x: float) -> str:
@@ -103,6 +105,7 @@ def read_rows_csv(path: Path) -> list[ResultRow]:
     # with sigma = 0 every point has snr inf, and only beta tells them apart
     grid: dict[tuple, int] = {}
     grouped: dict[tuple, dict] = {}
+    shared: dict[str, object] = {}
     for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(_CSV_COLUMNS):
@@ -125,6 +128,11 @@ def read_rows_csv(path: Path) -> list[ResultRow]:
             # the regime thresholds need n >= 3, as ExperimentConfig does
             if column == "n" and value < 3:
                 raise InputError(f"{where}: must be >= 3, got {cell!r}")
+            # the fit reads model and n from the first row for the whole file
+            if column in _SHARED_COLUMNS and shared.setdefault(column, value) != value:
+                raise InputError(
+                    f"{where}: {cell!r} differs from the first row's {shared[column]!r}"
+                )
             values.append(value)
         model, n, snr, beta, sigma, est, q, rep, seed, lv, exact, iters, wall = values
         point = grid.setdefault((snr, beta), len(grid))
@@ -294,7 +302,6 @@ def read_matrix_csv(path: Path) -> InteractionMatrix:
                         f"{path}: diagonal entry at row {i + 1}, column {j + 1} must be "
                         f"blank or NA, got {cell!r}"
                     )
-                values[i, j] = np.nan
                 continue
             try:
                 v = float(cell)

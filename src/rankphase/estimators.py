@@ -5,7 +5,8 @@ Covers the per-object scores for the comparison and collaboration models
 the profile least-squares estimator with its alternating feature-match
 (``matching``) / refit loop, the rank-2 hat-matrix primitives behind it, and
 the small-n least-squares benchmark by enumeration.  Ranks go in and come
-out as int64 arrays.
+out as int64 arrays.  The diagonal of ``X.values`` is exact zero, so every
+sum over j != i is a plain row, column or grand sum of it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .model import (
     InteractionMatrix,
     ModelSpec,
     RankSpace,
-    _row_blocks,
     position_mean_table,
     rank_entries,
     space_argmin,
@@ -77,29 +77,6 @@ class IterationTrace:
     match_gap: float = 0.0
 
 
-def _row_col_sums(X: InteractionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of the zero-diagonal matrix, without copying it.
-
-    Rows are summed a row block at a time in a small buffer whose diagonal
-    is zeroed.  The buffer's first row carries the running column sum, and
-    numpy reduces over the leading axis in row order, so both equal
-    X.zero_diagonal().sum(axis=1) and .sum(axis=0) bit for bit.
-    """
-    n = X.n
-    blocks = _row_blocks(n)
-    buf = np.empty((blocks[0].stop + 1, n))
-    row = np.empty(n)
-    for rows in blocks:
-        m = rows.stop - rows.start
-        block = buf[1 : m + 1]
-        block[...] = X.values[rows]
-        block.reshape(-1)[rows.start :: n + 1] = 0.0
-        row[rows] = block.sum(axis=1)
-        # the first block has no running sum to carry
-        buf[0] = buf[int(rows.start == 0) : m + 1].sum(axis=0)
-    return row, buf[0].copy()
-
-
 def _finite(scores: np.ndarray) -> np.ndarray:
     # theta with an inf, or entries near 1e308 whose row sums overflow (the
     # score functions silence numpy's warnings for what this rejects)
@@ -123,9 +100,9 @@ def score_comparison(X: InteractionMatrix, theta) -> np.ndarray:
     th = np.asarray(theta, dtype=np.float64)
     if th.shape != (n,):
         raise InputError(f"theta must have length {n}")
+    v = X.values
     with np.errstate(over="ignore", invalid="ignore"):
-        row, col = _row_col_sums(X)
-        return _finite((row - col) / (2.0 * n) + th.mean())
+        return _finite((v.sum(axis=1) - v.sum(axis=0)) / (2.0 * n) + th.mean())
 
 
 def score_collaboration(X: InteractionMatrix) -> np.ndarray:
@@ -134,12 +111,9 @@ def score_collaboration(X: InteractionMatrix) -> np.ndarray:
     S_i = (1/(2(n-2))) * (sum_{j != i}(X_ij + X_ji) - grand_sum/(n-1)).
     """
     n = _require_n(X, 3, "score_collaboration")
-    # one zero-diagonal copy: its grand sum is pairwise over all n^2
-    # entries, which a sum of row-block sums would not reproduce bit for bit
-    v = X.zero_diagonal()
+    v = X.values
     with np.errstate(over="ignore", invalid="ignore"):
-        row, col = v.sum(axis=1), v.sum(axis=0)
-        grand = float(v.sum())
+        row, col, grand = v.sum(axis=1), v.sum(axis=0), float(v.sum())
         return _finite(((row + col) - grand / (n - 1.0)) / (2.0 * (n - 2.0)))
 
 
@@ -150,8 +124,9 @@ def score_adaptive(X: InteractionMatrix, kind: str) -> np.ndarray:
     kind="collaboration":  S_i = (1/(2(n-2))) * sum_{j != i}(X_ij + X_ji)
     """
     n = _require_n(X, 3, "score_adaptive")
+    v = X.values
     with np.errstate(over="ignore", invalid="ignore"):
-        row, col = _row_col_sums(X)
+        row, col = v.sum(axis=1), v.sum(axis=0)
         if kind == "comparison":
             return _finite((row - col) / (2.0 * n))
         if kind == "collaboration":
@@ -305,12 +280,11 @@ def lse_brute_force(X: InteractionMatrix, model: ModelSpec, space: RankSpace) ->
     # mean lookup by latent position pair, then fancy-index per candidate
     pos_mu = position_mean_table(model)
     off = ~np.eye(n, dtype=bool)
-    xv = X.zero_diagonal()
 
     def sq_error(cand: np.ndarray) -> np.ndarray:
         block = cand - 1
         mu = pos_mu[block[:, :, None], block[:, None, :]]
-        diff = (xv[None, :, :] - mu) * off[None, :, :]
+        diff = (X.values[None, :, :] - mu) * off[None, :, :]
         return np.sum(diff * diff, axis=(1, 2))
 
     return space_argmin(space, sq_error)[0]

@@ -54,8 +54,10 @@ def _row_blocks(n: int, rows: int | None = None) -> list[slice]:
 def _zero_diagonal_checked(block: np.ndarray, start: int) -> None:
     """Zero the diagonal entries in rows start.. of an n x n array's row block, in place.
 
-    Raises InputError unless every entry of the block is then finite.  The
-    diagonal is a strided view of the flattened block, not a fancy index.
+    This is where every interaction matrix gets its exact-zero diagonal, so
+    that a sum over j != i is a plain sum over the row.  Raises InputError
+    unless every entry of the block is then finite.  The diagonal is a
+    strided view of the flattened block, not a fancy index.
     """
     block.reshape(-1)[start :: block.shape[1] + 1] = 0.0
     if not np.isfinite(block).all():
@@ -275,14 +277,14 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class InteractionMatrix:
-    """Observed interactions X_ij for i != j; the diagonal is masked (NaN).
+    """Observed interactions X_ij for i != j; the diagonal holds exact zeros.
 
     The matrix owns ``values``: a read-only float64 array whose diagonal is
-    overwritten with NaN, so that any operation that accidentally reads it
-    poisons its output instead of silently using a sentinel value.  The
-    public constructor copies its argument and never modifies the caller's
-    array.  The Gaussian generator instead hands over the only copy of the
-    matrix it filled (``_adopt``), so a replication holds one n x n array.
+    overwritten with 0.0 whatever it held, so a sum over j != i is a plain
+    row, column or grand sum of ``values``.  The public constructor copies
+    its argument and never modifies the caller's array.  The Gaussian
+    generator instead hands over the only copy of the matrix it filled
+    (``_adopt``), so a replication holds one n x n array.
     """
 
     values: np.ndarray
@@ -302,27 +304,20 @@ class InteractionMatrix:
     def _adopt(cls, values: np.ndarray) -> "InteractionMatrix":
         """Take ownership of a writable n x n float64 array without copying it.
 
-        The caller gives up the array and must already have checked every
-        off-diagonal entry finite (``_zero_diagonal_checked``).
+        The caller gives up the array and must already have zeroed its
+        diagonal and checked every entry finite (``_zero_diagonal_checked``).
         """
         matrix = object.__new__(cls)
         matrix._own(values)
         return matrix
 
     def _own(self, v: np.ndarray) -> None:
-        np.fill_diagonal(v, np.nan)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def zero_diagonal(self) -> np.ndarray:
-        """A writable copy with the masked diagonal replaced by exact zeros."""
-        v = self.values.copy()
-        np.fill_diagonal(v, 0.0)
-        return v
 
 
 def _pair_means(kind: str, th: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
@@ -340,24 +335,18 @@ def _pair_means(kind: str, th: np.ndarray, cols: np.ndarray | None = None) -> np
 def position_mean_table(model: ModelSpec) -> np.ndarray:
     """Means mu_{ab} for every pair of latent positions a, b in [n].
 
-    Unlike build_mean_matrix this table has no masked diagonal: mu_{aa} is a
+    Unlike build_mean_matrix this table keeps its diagonal: mu_{aa} is a
     legitimate mean when two distinct objects share the position a.
     """
     return _pair_means(model.kind, model.theta)
 
 
 def build_mean_matrix(model: ModelSpec, r) -> np.ndarray:
-    """The n x n mean matrix mu_{r(i)r(j)} with a NaN-masked diagonal."""
+    """The n x n mean matrix mu_{r(i)r(j)} for i != j, with an exact-zero diagonal."""
     arr = rank_entries(r, model.n)
     mu = _pair_means(model.kind, model.theta[arr - 1])
-    np.fill_diagonal(mu, np.nan)
+    np.fill_diagonal(mu, 0.0)
     return mu
-
-
-def _offdiag_sq_sum(diff: np.ndarray) -> float:
-    d = diff.copy()
-    np.fill_diagonal(d, 0.0)
-    return float(np.sum(d * d))
 
 
 def signal_gap(model: ModelSpec, r, r_tilde) -> float:
@@ -371,7 +360,8 @@ def signal_gap(model: ModelSpec, r, r_tilde) -> float:
     if model.kind == POISSON_SQRT_LINEAR:
         mu_r = np.sqrt(mu_r)
         mu_t = np.sqrt(mu_t)
-    return _offdiag_sq_sum(mu_t - mu_r)
+    d = mu_t - mu_r
+    return float(np.sum(d * d))
 
 
 def signal_gap_closed_form(model: ModelSpec, r, r_tilde) -> float:

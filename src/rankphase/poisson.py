@@ -33,7 +33,7 @@ SERIES_TERM_FLOOR = 1e-16
 
 @dataclass(frozen=True)
 class PoissonCounts:
-    """Nonnegative integer interactions with a masked (ignored) diagonal."""
+    """Nonnegative integer interactions; the diagonal holds exact zeros."""
 
     values: np.ndarray
 

@@ -109,7 +109,8 @@ def generate_gaussian(model: ModelSpec, r, sigma: float, seed: int) -> Interacti
         raise InputError("sigma must be >= 0")
     # One n x n array, filled a row block at a time in the generator's stream
     # order: fl(sigma * z) then mu + that is normal(0, sigma)'s loc + scale * z
-    # bit for bit, so this equals build_mean_matrix + normal(0, sigma, (n, n)).
+    # bit for bit, so off the diagonal this equals build_mean_matrix +
+    # normal(0, sigma, (n, n)).
     # Each block is checked while it is in cache, and the matrix takes the
     # array over without a copy.
     n = model.n
@@ -134,7 +135,6 @@ def generate_poisson(model: ModelSpec, r, seed: int) -> PoissonCounts:
     if model.kind != POISSON_SQRT_LINEAR:
         raise InputError("generate_poisson needs a poisson_sqrt_linear model")
     mu = build_mean_matrix(model, r)
-    np.fill_diagonal(mu, 0.0)
     rng = np.random.default_rng(seed)
     return PoissonCounts(rng.poisson(mu))
 
@@ -221,6 +221,8 @@ class ExperimentConfig:
             raise ConfigError("field 'sigma': sigma = 0 requires an explicit beta_grid")
         if any(not 0.0 <= q <= 2.0 for q in self.q_list) or not self.q_list:
             raise ConfigError("field 'q_list': entries must lie in [0, 2]")
+        if len(set(self.q_list)) < len(self.q_list):
+            raise ConfigError("field 'q_list': values must be distinct")
         if self.true_rank not in TRUE_RANK_POLICIES:
             raise ConfigError(f"field 'true_rank': unknown policy {self.true_rank!r}")
         if self.c_n is not None and self.c_n < 1:

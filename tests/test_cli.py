@@ -56,6 +56,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 2  # header + one row per rep
 
+    def test_repeated_q_config_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, q_list=[1, 1])
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "field 'q_list': values must be distinct" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, reps=3, snr_grid=[0.5, 4.0])
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -130,8 +137,10 @@ class TestSimulateCommand:
 
 
 class TestPhaseDiagramCommand:
-    # sha256 of the reports for configs/phase_diagram_default.json:
-    # regimes.json pins the JSON layout of RegimeReport, curve.csv the table
+    # sha256 of the outputs for configs/phase_diagram_default.json:
+    # results.csv pins the rows, regimes.json the JSON layout of RegimeReport,
+    # curve.csv the table; --from-results writes only the last two
+    RESULTS_PIN = "2e0f4c2f568e82dea1097b6fc56119d13b7a5b9308e4c4173ecb7d256ecf4813"
     DEFAULT_PINS = {
         "regimes.json": "e30892dee179acf713e93dfc3a7daa97f475e7b3725b63ba91afadc9ff2f8d73",
         "curve.csv": "9af05da0d131a562e1e3a97a97916c4b49cef4bd2a7ec7fec7fa7faaf76194b6",
@@ -141,6 +150,7 @@ class TestPhaseDiagramCommand:
         cfg = Path(__file__).resolve().parent.parent / "configs" / "phase_diagram_default.json"
         out, again = tmp_path / "pd", tmp_path / "again"
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == self.RESULTS_PIN
         argv = ["phase-diagram", "--from-results", str(out / "results.csv"), "--out", str(again)]
         assert main(argv) == 0
         for directory in (out, again):
@@ -265,6 +275,40 @@ class TestPhaseDiagramCommand:
         err = capsys.readouterr().err
         assert str(src) in err and "line 3" in err and "repeated" in err
 
+    def test_from_results_mixed_models_exit_2(self, tmp_path, capsys):
+        # a differential n = 20 results file followed by an additive n = 200
+        # one must not be fitted as one grid at n = 20
+        parts = []
+        runs = (("differential", 20, [0.5, 1.0, 2.0]), ("additive", 200, [4.0, 6.0, 9.0]))
+        for model, n, snrs in runs:
+            cfg = write_config(tmp_path, model=model, n=n, snr_grid=snrs)
+            out = tmp_path / f"{model}.csv"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            parts.append(out.read_text().splitlines())
+        src = tmp_path / "mixed.csv"
+        src.write_text("\n".join(parts[0] + parts[1][1:]) + "\n")
+        argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{src}: line {len(parts[0]) + 1}, column model:" in err
+        assert "'additive' differs from the first row's 'differential'" in err
+        assert not (tmp_path / "pd").exists()
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("n", "21"), ("sigma", "2"), ("estimator", "profile_ls_adaptive")],
+    )
+    def test_from_results_row_differing_from_first_exit_2(self, tmp_path, capsys, column, cell):
+        first = "differential,20,0.5,0.1,1,feature_match_oracle_theta,2,0,0,0.5,1,0,0"
+        # the second row is rep 1, so only the edited column sets it apart
+        cells = first.replace(",2,0,0,", ",2,1,0,").split(",")
+        cells[CSV_HEADER.split(",").index(column)] = cell
+        src = tmp_path / "rows.csv"
+        src.write_text(f"{CSV_HEADER}\n{first}\n{','.join(cells)}\n")
+        argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
+        assert main(argv) == 2
+        assert f"{src}: line 3, column {column}: {cell!r} differs" in capsys.readouterr().err
+
     def test_from_results_missing_file_exit_2(self, tmp_path, capsys):
         src = tmp_path / "absent.csv"
         argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
@@ -318,7 +362,7 @@ class TestEstimateCommand:
         beta = rp.beta_for_snr(n, 3 * math.log(n), 1.0)
         m = ModelSpec.parametric("differential", n, alpha=0.0, beta_tilde=beta)
         X = rp.generate_gaussian(m, np.arange(1, n + 1), 1.0, 424242)
-        path = write_matrix(tmp_path, np.where(np.isnan(X.values), 0.0, X.values))
+        path = write_matrix(tmp_path, X.values)
         out = tmp_path / "est50.txt"
         code = main(["estimate", "--input", str(path), "--kind", "comparison", "--out", str(out)])
         assert code == 0
@@ -332,7 +376,7 @@ class TestEstimateCommand:
         beta = rp.beta_for_snr(n, 3 * math.log(n), 1.0)
         m = ModelSpec.parametric("additive", n, alpha=0.0, beta_tilde=beta)
         X = rp.generate_gaussian(m, np.arange(1, n + 1), 1.0, 777)
-        path = write_matrix(tmp_path, np.where(np.isnan(X.values), 0.0, X.values))
+        path = write_matrix(tmp_path, X.values)
         out = tmp_path / "est.txt"
         code = main(["estimate", "--input", str(path), "--kind", "collaboration",
                      "--out", str(out), "--c-n", "3"])

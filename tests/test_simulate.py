@@ -77,21 +77,20 @@ class TestGenerators:
         model = ModelSpec(kind=kind, theta=rng.normal(0.0, 2.0, n))
         for r in (np.arange(1, n + 1), rng.permutation(n) + 1):
             for sigma, seed in ((1.0, 7), (0.37, 11), (2.5, 13)):
-                got = generate_gaussian(model, r, sigma, seed).values.copy()
+                got = generate_gaussian(model, r, sigma, seed).values
                 noise = np.random.default_rng(seed).normal(0.0, sigma, (n, n))
                 want = build_mean_matrix(model, r) + noise
-                assert np.isnan(np.diag(got)).all() and np.isnan(np.diag(want)).all()
-                np.fill_diagonal(got, 0.0)
+                assert (np.diag(got) == 0.0).all()
                 np.fill_diagonal(want, 0.0)
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [50, 300])
     @pytest.mark.parametrize("sigma", [0.0, 1.3])
-    def test_generated_matrix_read_only_with_nan_diagonal(self, n, sigma):
+    def test_generated_matrix_read_only_with_zero_diagonal(self, n, sigma):
         model = ModelSpec.parametric("additive", n, alpha=0.5, beta_tilde=0.2)
         X = generate_gaussian(model, np.arange(1, n + 1), sigma, 3)
         assert not X.values.flags.writeable
-        assert np.isnan(np.diag(X.values)).all()
+        assert (np.diag(X.values) == 0.0).all()
         assert np.isfinite(X.values[~np.eye(n, dtype=bool)]).all()
 
     @pytest.mark.parametrize("n", [20, 300])
@@ -239,6 +238,14 @@ class TestConfigValidation:
             self.base(sigma=0.0, snr_grid=(math.inf,) * 2, beta_grid=(0.5, 0.5))
         self.base(sigma=0.0, snr_grid=(math.inf,) * 2, beta_grid=(0.5, 1.0))
 
+    def test_q_list_values_distinct(self):
+        # a repeated q would write each of its loss lines twice
+        with pytest.raises(ConfigError, match="field 'q_list': values must be distinct"):
+            self.base(q_list=(1.0, 1.0))
+        with pytest.raises(ConfigError, match="field 'q_list'"):
+            self.base(q_list=(0.0, 2.0, 0.0))
+        self.base(q_list=(0.0, 1.0))
+
     def test_from_dict_unknown_field(self):
         with pytest.raises(ConfigError, match="bogus"):
             ExperimentConfig.from_dict(
@@ -338,13 +345,14 @@ class TestRunExperiment:
             assert row.loss_for(2.0) <= (row.n - 1) ** 2
             assert row.exact_recovery == (l0 == 0.0)
 
-    def test_one_matrix_per_replication(self):
-        # generation hands its array over and the comparison score sums it by
-        # row blocks, so the traced peak is one n x n float64 array plus
-        # blocks; it was about twice that when both copied the matrix
+    @pytest.mark.parametrize("model", ["differential", "additive"])
+    def test_one_matrix_per_replication(self, model):
+        # generation hands its array over and the oracle-theta score sums it
+        # in place, so the traced peak is one n x n float64 array plus row
+        # blocks; it was about twice that when a score copied the matrix
         n = 1000
         cfg = ExperimentConfig(
-            model="differential",
+            model=model,
             n=n,
             snr_grid=(1e-3,),
             reps=1,
@@ -565,10 +573,14 @@ class TestPinnedDigests:
     # sha256 of each results CSV as written before the closed-form nearest
     # position and the row-block sums: additive oracle theta at n = 300
     # (collaboration score, closed form, sum repair) and differential profile
-    # LS at n = 200 (adaptive score, closed form, band)
+    # LS at n = 200 (adaptive score, closed form, band); and, as written
+    # while the diagonal was still masked with NaN, least squares by
+    # enumeration at n = 5 for both Gaussian models
     PINS = {
         "pin_additive_n300.json": "6215fc38cd50367ca5d736e7730970f58517c97aaf4b26831525307fe9ad8d99",
         "pin_profile_n200.json": "96b1e393c57eec4647c6d51617a986dd852209e02d3e4cddac1c5010f8f41808",
+        "pin_lse_n5_differential.json": "a01d734d38d45f9f3f7896e5dde800598b079f8303a6f15b6675f3e3c36a6049",
+        "pin_lse_n5_additive.json": "dc2d8ed27a1e1caf45c77d92844b6c4443878c23da6eea6eba6bada33b82bb01",
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
