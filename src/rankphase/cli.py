@@ -136,16 +136,24 @@ def read_rows_csv(path: Path) -> list[ResultRow]:
             values.append(value)
         model, n, snr, beta, sigma, est, q, rep, seed, lv, exact, iters, wall = values
         point = grid.setdefault((snr, beta), len(grid))
-        rec = grouped.setdefault((point, rep), {"first": values, "qs": [], "losses": []})
-        if q in rec["qs"]:
+        rec = grouped.setdefault((point, rep), {"first": values, "losses": {}})
+        if q in rec["losses"]:
             raise InputError(
                 f"{path}: line {lineno}: repeated (snr, beta, rep, q) = ({snr}, {beta}, {rep}, {q})"
             )
-        rec["qs"].append(q)
-        rec["losses"].append(lv)
+        rec["losses"][q] = lv
+    # q lines may come in any order, but every replication carries the first
+    # one's q values, and its losses are stored in that order
+    q_list: tuple = ()
     rows = []
     for (point, rep), rec in grouped.items():
         model, n, snr, beta, sigma, est, _, _, seed, _, exact, iters, wall = rec["first"]
+        q_list = q_list or tuple(rec["losses"])
+        if rec["losses"].keys() != set(q_list):
+            raise InputError(
+                f"{path}: (snr, beta, rep) = ({snr}, {beta}, {rep}) has q values "
+                f"{sorted(rec['losses'])}, not the first replication's {sorted(q_list)}"
+            )
         rows.append(
             ResultRow(
                 model=model,
@@ -156,8 +164,8 @@ def read_rows_csv(path: Path) -> list[ResultRow]:
                 estimator=est,
                 rep=rep,
                 seed=seed,
-                q_list=tuple(rec["qs"]),
-                losses=tuple(rec["losses"]),
+                q_list=q_list,
+                losses=tuple(rec["losses"][q] for q in q_list),
                 exact_recovery=exact == "1",
                 iterations=iters,
                 wall_time_ms=wall,
@@ -230,6 +238,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_phase_diagram(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     if args.from_results is not None:
+        # the file is fitted as it is: a config or an override has nothing to act on
+        for flag in ["--config"] + [o[0] for o in _OVERRIDES]:
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ConfigError(f"{flag} cannot be combined with --from-results")
         rows = read_rows_csv(Path(args.from_results))
     else:
         if args.config is None:
@@ -463,16 +475,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+# The config-field overrides shared by simulate and phase-diagram (see _load_config).
+_OVERRIDES = (
+    ("--seed", int, "override master_seed"),
+    ("--reps", int, "override reps"),
+    ("--n", int, "override n"),
+    ("--snr", str, "override SNR grid, comma-separated"),
+    ("--c-n", int, "override sum budget"),
+    ("--c-n-sq", int, "override sum-of-squares budget"),
+)
+
+
 def _add_override_args(parser: argparse.ArgumentParser) -> None:
-    """The config-field overrides shared by simulate and phase-diagram (see _load_config)."""
-    parser.add_argument("--seed", type=int, default=None, help="override master_seed")
-    parser.add_argument("--reps", type=int, default=None, help="override reps")
-    parser.add_argument("--n", type=int, default=None, help="override n")
-    parser.add_argument("--snr", default=None, help="override SNR grid, comma-separated")
-    parser.add_argument("--c-n", dest="c_n", type=int, default=None, help="override sum budget")
-    parser.add_argument(
-        "--c-n-sq", dest="c_n_sq", type=int, default=None, help="override sum-of-squares budget"
-    )
+    for flag, kind, text in _OVERRIDES:
+        parser.add_argument(flag, type=kind, default=None, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

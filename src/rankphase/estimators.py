@@ -134,24 +134,35 @@ def score_adaptive(X: InteractionMatrix, kind: str) -> np.ndarray:
     raise InputError(f"unknown score kind {kind!r}")
 
 
-def ols_fit(scores, r) -> OlsFit:
-    """Least-squares line of scores on rank values.
-
-    b_hat = (mean(S*r) - mean(r)*mean(S)) / (mean(r^2) - mean(r)^2),
-    a_hat = mean(S) - b_hat * mean(r).
-    """
+def _line_fit(scores, r) -> tuple[float, float | None, float]:
+    """(a_hat, b_hat, PL) of the least-squares line of scores on ranks; for a
+    constant rank, (mean(S), None, the centered sum of squares)."""
     S = np.asarray(scores, dtype=np.float64)
     rr = rank_entries(r).astype(np.float64)
     if S.shape != rr.shape:
         raise InputError("scores and ranks must have equal length")
     mean_r = rr.mean()
     var_r = np.mean(rr * rr) - mean_r * mean_r
-    if var_r <= 0.0:
-        raise DegenerateFitError("rank vector is constant; slope is undefined")
     mean_s = S.mean()
-    b_hat = (np.mean(S * rr) - mean_r * mean_s) / var_r
-    a_hat = mean_s - b_hat * mean_r
-    return OlsFit(a_hat=float(a_hat), b_hat=float(b_hat))
+    if var_r <= 0.0:
+        resid = S - mean_s
+        return float(mean_s), None, float(np.dot(resid, resid))
+    b_hat = float((np.mean(S * rr) - mean_r * mean_s) / var_r)
+    a_hat = float(mean_s - b_hat * mean_r)
+    resid = S - a_hat - b_hat * rr
+    return a_hat, b_hat, float(np.dot(resid, resid))
+
+
+def ols_fit(scores, r) -> OlsFit:
+    """Least-squares line of scores on rank values.
+
+    b_hat = (mean(S*r) - mean(r)*mean(S)) / (mean(r^2) - mean(r)^2),
+    a_hat = mean(S) - b_hat * mean(r).
+    """
+    a_hat, b_hat, _ = _line_fit(scores, r)
+    if b_hat is None:
+        raise DegenerateFitError("rank vector is constant; slope is undefined")
+    return OlsFit(a_hat=a_hat, b_hat=b_hat)
 
 
 def hat_matrix(r) -> np.ndarray:
@@ -166,17 +177,9 @@ def hat_matrix(r) -> np.ndarray:
 
 
 def profile_ls_objective(scores, r) -> float:
-    """PL(r) = sum_i (S_i - a_hat - b_hat*r(i))^2 for the OLS fit on r."""
-    S = np.asarray(scores, dtype=np.float64)
-    rr = rank_entries(r).astype(np.float64)
-    fit = ols_fit(S, r)
-    resid = S - fit.a_hat - fit.b_hat * rr
-    return float(np.dot(resid, resid))
-
-
-def _centered_ss(S: np.ndarray) -> float:
-    d = S - S.mean()
-    return float(np.dot(d, d))
+    """PL(r) = min over (a, b) of sum_i (S_i - a - b*r(i))^2, attained by the
+    OLS fit on r; for a constant r it is sum_i (S_i - mean(S))^2."""
+    return _line_fit(scores, r)[2]
 
 
 def profile_ls_estimate(
@@ -212,49 +215,38 @@ def profile_ls_estimate(
             raise InputError("init rank is not in the given space")
 
     positions = np.arange(1, n + 1, dtype=np.float64)
-
-    def pl_value(r: np.ndarray) -> float:
-        if np.all(r == r[0]):
-            return _centered_ss(S)
-        return profile_ls_objective(S, r)
-
-    path = [pl_value(r_cur)]
+    # the current rank's fit; an accepted candidate's fit carries over
+    a, b, pl = _line_fit(S, r_cur)
+    path = [pl]
     negative_slopes: list[int] = []
     converged = stalled = False
     match_gap = 0.0
     iterations = 0
     for it in range(1, max_iters + 1):
-        try:
-            fit = ols_fit(S, r_cur)
-        except DegenerateFitError:
+        if b is None:  # constant rank: no slope to match against
             converged = True
             break
-        b = fit.b_hat
         if b <= 0.0:
             negative_slopes.append(it)
-        if abs(b) < SLOPE_FLOOR:
-            b = SLOPE_FLOOR if b >= 0.0 else -SLOPE_FLOOR
-        surrogate = fit.a_hat + b * positions
+        slope = b if abs(b) >= SLOPE_FLOOR else (SLOPE_FLOOR if b >= 0.0 else -SLOPE_FLOOR)
         try:
-            candidate = feature_match(S, surrogate, space)
+            candidate = feature_match(S, a + slope * positions, space)
         except MatchBudgetError as exc:
             candidate = exc.incumbent
             match_gap = max(match_gap, exc.gap)
         iterations = it
-        cand_pl = pl_value(candidate)
-        prev_pl = path[-1]
-        if cand_pl <= prev_pl:
-            r_cur = candidate
-            path.append(cand_pl)
-            if prev_pl - cand_pl < PL_CONVERGENCE_TOL:
-                converged = True
-                break
-        else:
+        fit = _line_fit(S, candidate)
+        if not fit[2] <= pl:
             # an exact match cannot raise the objective, so this takes a
             # budget-bounded match, the slope floor or rounding; keep the
             # incumbent so the path stays nonincreasing
-            path.append(prev_pl)
+            path.append(pl)
             stalled = True
+            break
+        r_cur, (a, b, pl) = candidate, fit
+        path.append(pl)
+        if path[-2] - pl < PL_CONVERGENCE_TOL:
+            converged = True
             break
 
     trace = IterationTrace(

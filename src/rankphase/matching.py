@@ -384,10 +384,13 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     the lam slope for the outer search.  A sum-only space has no
     sum-of-squares budget to relax, so lam stays at 0.
 
+    Row minima must be exactly 0, as _band_match leaves them: the bound at
+    lam = mu = 0 is then 0, and the largest cost is the largest row spread.
+
     Returns (lower bound, reduced costs at the best multipliers, slack,
-    incumbent): reduced costs are the excess over each row's minimum,
-    slack covers their rounding error, and the incumbent is the cheapest
-    feasible row-wise argmin met (the identity rank if none was).
+    incumbent, its cost): reduced costs are the excess over each row's
+    minimum, slack covers their rounding error, and the incumbent is the
+    cheapest feasible row-wise argmin met (the identity rank if none was).
     """
     n = space.n
     c = space.c_n
@@ -397,7 +400,7 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     rows = np.arange(n)
     incumbent = np.arange(1, n + 1, dtype=np.int64)
     inc_cost = float(np.sum(cost[rows, rows]))
-    best = (float(np.sum(cost.min(axis=1))), 0.0, 0.0)  # the bound at lam = mu = 0
+    best = (0.0, 0.0, 0.0)  # the bound at lam = mu = 0
 
     def over_mu(lam):
         base = cost + lam * pos * pos
@@ -426,7 +429,7 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
         return value, _budget_slope(lam, dev2, csq), None
 
     # multipliers act on the costs within a row, so they scale with its spread
-    spread = float(np.max(cost.max(axis=1) - cost.min(axis=1))) or 1.0
+    spread = float(cost.max()) or 1.0
     if space.c_n_sq is None:
         over_mu(0.0)
     else:
@@ -436,7 +439,7 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     low = reduced.min(axis=1, keepdims=True)
     slack = 1e-12 * float(np.maximum(reduced.max(axis=1), -low[:, 0]).sum())
     reduced -= low
-    return lb, reduced, slack, incumbent
+    return lb, reduced, slack, incumbent, inc_cost
 
 
 def _band_match(cost: np.ndarray, space: RankSpace) -> np.ndarray:
@@ -457,8 +460,8 @@ def _band_match(cost: np.ndarray, space: RankSpace) -> np.ndarray:
     n = space.n
     rows = np.arange(n)
     cost -= cost.min(axis=1, keepdims=True)
-    lb, reduced, slack, incumbent = _lagrangian_bound(cost, space)
-    gap = float(np.sum(cost[rows, incumbent - 1])) - lb
+    lb, reduced, slack, incumbent, inc_cost = _lagrangian_bound(cost, space)
+    gap = inc_cost - lb
     tau = min(gap / 64.0, float(np.median(np.partition(reduced, 1, axis=1)[:, 1])))
     while gap > 0.0:
         try:

@@ -62,6 +62,9 @@ CONFIG_MODELS = {
     "poisson_sqrt_linear": POISSON_SQRT_LINEAR,
 }
 
+# numpy's Poisson sampler refuses larger means ("lam value too large")
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
 # SNR thresholds separating the four error regimes (boundaries go to the
 # lower regime): trivial < n^-2 <= polynomial <= 1 < exponential <= log n < exact.
 REGIME_TRIVIAL = "trivial"
@@ -238,6 +241,26 @@ class ExperimentConfig:
             raise ConfigError(
                 f"field 'n': brute_force estimator requires n <= {ENUMERATION_N_MAX}"
             )
+        if self.model == POISSON_SQRT_LINEAR:
+            self._check_poisson_means()
+
+    def _check_poisson_means(self) -> None:
+        # what ModelSpec and numpy's sampler will see at each grid point
+        grid = "snr_grid" if self.beta_grid is None else "beta_grid"
+        for g, value in enumerate(self.beta_grid or self.snr_grid):
+            try:
+                theta = self.model_for(self.beta_at(g)).theta
+            except InputError as exc:
+                field = grid if self.alpha is None else "alpha"
+                raise ConfigError(f"field {field!r}: at {grid} entry {value!r}: {exc}") from None
+            top = 2.0 * theta[-1]  # the largest sqrt-mean a rank can reach
+            if not top * top <= POISSON_MEAN_MAX:
+                alone = self.alpha is not None and (2.0 * self.alpha) ** 2 > POISSON_MEAN_MAX
+                raise ConfigError(
+                    f"field {'alpha' if alone else grid!r}: at {grid} entry {value!r} the "
+                    f"largest Poisson mean is {top * top:.6g}, above the sampler's "
+                    f"limit {POISSON_MEAN_MAX:.6g}"
+                )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -129,6 +129,23 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert f"error: field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # a negative sqrt-mean used to surface only inside a replication
+            ("alpha", -100, "must be positive"),
+            # a Poisson mean past numpy's limit used to end in a traceback
+            ("snr_grid", [1e30], "largest Poisson mean"),
+        ],
+    )
+    def test_poisson_means_out_of_range_named_exit_2(self, tmp_path, capsys, field, value, message):
+        fields = dict(model="poisson", n=4, snr_grid=[1.0], estimator="brute_force")
+        cfg = write_config(tmp_path, **{**fields, field: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: field '{field}'" in err and message in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_malformed_snr_override_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         argv = ["simulate", "--config", str(cfg), "--snr", "abc", "--out", str(tmp_path / "x.csv")]
@@ -153,7 +170,14 @@ class TestPhaseDiagramCommand:
         assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == self.RESULTS_PIN
         argv = ["phase-diagram", "--from-results", str(out / "results.csv"), "--out", str(again)]
         assert main(argv) == 0
-        for directory in (out, again):
+        # the q lines of every replication after the first, reversed: losses
+        # are read by q, not by their place in the file
+        mixed, refit = tmp_path / "mixed.csv", tmp_path / "refit"
+        lines = (out / "results.csv").read_text().splitlines()
+        reps = [lines[i : i + 3] for i in range(1, len(lines), 3)]
+        mixed.write_text("\n".join([lines[0], *reps[0]] + [l for r in reps[1:] for l in r[::-1]]) + "\n")
+        assert main(["phase-diagram", "--from-results", str(mixed), "--out", str(refit)]) == 0
+        for directory in (out, again, refit):
             for name, digest in self.DEFAULT_PINS.items():
                 assert hashlib.sha256((directory / name).read_bytes()).hexdigest() == digest
 
@@ -309,6 +333,35 @@ class TestPhaseDiagramCommand:
         assert main(argv) == 2
         assert f"{src}: line 3, column {column}: {cell!r} differs" in capsys.readouterr().err
 
+    def test_from_results_replication_missing_a_q_exit_2(self, tmp_path, capsys):
+        # summarize_grid used to read losses by the first row's q positions
+        # and raise an IndexError here
+        cfg = write_config(tmp_path, snr_grid=[0.5, 1.0, 2.0])
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        src = tmp_path / "short.csv"
+        src.write_text("\n".join(lines[:-1]) + "\n")
+        argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {src}: (snr, beta, rep) = (2.0, " in err
+        assert "has q values [0.0, 1.0], not the first replication's [0.0, 1.0, 2.0]" in err
+        assert not (tmp_path / "pd").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--config", None), ("--reps", "5"), ("--n", "7"), ("--c-n-sq", "9")]
+    )
+    def test_from_results_with_config_or_override_exit_2(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, reps=1)
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        argv = ["phase-diagram", "--from-results", str(out), "--out", str(tmp_path / "pd")]
+        argv += [flag, str(cfg) if value is None else value]
+        assert main(argv) == 2
+        assert f"error: {flag} cannot be combined with --from-results" in capsys.readouterr().err
+        assert not (tmp_path / "pd").exists()
+
     def test_from_results_missing_file_exit_2(self, tmp_path, capsys):
         src = tmp_path / "absent.csv"
         argv = ["phase-diagram", "--from-results", str(src), "--out", str(tmp_path / "pd")]
@@ -405,6 +458,28 @@ class TestEstimateCommand:
         bounded = header(out)
         assert bounded["stalled"] in ("true", "false")
         assert float(bounded["match_gap"]) > 0.0
+
+    # sha256 of the --out file as written while each profile step fitted
+    # its line twice; 5 and 7 profile steps, so the fit carried from one
+    # step to the next is exercised
+    @pytest.mark.parametrize(
+        "kind, model, digest",
+        [
+            ("comparison", "differential",
+             "667f66e07da0eefb3a357f133c5aa696a8a44144aaccb7ba5c17c436b59763db"),
+            ("collaboration", "additive",
+             "edfcf64b82875722da23ef20d4426a86be8325dea23fdb11c97622f6cc43b1c7"),
+        ],
+    )
+    def test_output_at_pinned_digest(self, tmp_path, kind, model, digest):
+        import rankphase as rp
+
+        m = ModelSpec.parametric(model, 40, alpha=0.0, beta_tilde=0.05)
+        X = rp.generate_gaussian(m, np.arange(1, 41), 1.0, 7)
+        path = write_matrix(tmp_path, X.values)
+        out = tmp_path / "est.txt"
+        assert main(["estimate", "--input", str(path), "--kind", kind, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_max_iters_exit_2(self, tmp_path, capsys, value):
@@ -532,10 +607,22 @@ class TestSubprocessEntryPoint:
         proc = run_python("-m", "rankphase.cli", "simulate")
         assert proc.returncode == 2
 
-    def test_cli_import_leaves_scipy_unloaded(self):
+    def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
         proc = run_python("-c", "import sys, rankphase.cli; print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+        # nor does the Poisson MLE by enumeration: it needs no log(X_ij!) term
+        cfg = write_config(tmp_path, model="poisson", n=4, snr_grid=[2.0], reps=1,
+                           estimator="brute_force")
+        code = (
+            "import sys\n"
+            "from rankphase.cli import main\n"
+            f"code = main(['simulate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'p.csv')!r}])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 False"
 
 
 class TestShippedConfigs:

@@ -182,6 +182,12 @@ class TestProfileObjective:
             resid = s - hat_matrix(r) @ s
             assert abs(pl - float(resid @ resid)) <= 1e-9 * (1 + pl)
 
+    def test_constant_rank_is_centered_sum_of_squares(self, rng):
+        # no slope to fit: the best line is the mean of the scores
+        s = rng.normal(0, 1, 7)
+        expected = float(np.sum((s - s.mean()) ** 2))
+        assert profile_ls_objective(s, [3] * 7) == pytest.approx(expected, rel=1e-12)
+
     def test_shift_invariance(self, rng):
         r = np.array([2, 1, 4, 3, 5])
         s = rng.normal(0, 1, 5)

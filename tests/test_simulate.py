@@ -575,12 +575,15 @@ class TestPinnedDigests:
     # (collaboration score, closed form, sum repair) and differential profile
     # LS at n = 200 (adaptive score, closed form, band); and, as written
     # while the diagonal was still masked with NaN, least squares by
-    # enumeration at n = 5 for both Gaussian models
+    # enumeration at n = 5 for both Gaussian models; and, as written while
+    # the Poisson MLE still added the constant sum of log X_ij!, the Poisson
+    # MLE by enumeration at n = 6
     PINS = {
         "pin_additive_n300.json": "6215fc38cd50367ca5d736e7730970f58517c97aaf4b26831525307fe9ad8d99",
         "pin_profile_n200.json": "96b1e393c57eec4647c6d51617a986dd852209e02d3e4cddac1c5010f8f41808",
         "pin_lse_n5_differential.json": "a01d734d38d45f9f3f7896e5dde800598b079f8303a6f15b6675f3e3c36a6049",
         "pin_lse_n5_additive.json": "dc2d8ed27a1e1caf45c77d92844b6c4443878c23da6eea6eba6bada33b82bb01",
+        "pin_poisson_n6.json": "48b8b8be95e7e4c46b030a00fafd617d6476b2b259364343400be694aef32998",
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
