@@ -29,6 +29,12 @@ stays within a band tau.  tau widens until the best rank in the band is
 within tau of the bound, which proves it optimal.  A band that outgrows
 the budgets raises MatchBudgetError with a feasible rank and its certified
 gap; no branch returns an uncertified answer.
+
+The bound's search for the sum multiplier starts where the dual peaks when
+every row's cost is convex in the position, as it is for affine theta:
+midway between two consecutive order statistics of the adjacent cost
+differences.  Where that start is not a peak, the search restarts from a
+symmetric bracket.
 """
 
 from __future__ import annotations
@@ -310,17 +316,25 @@ def _dp_match(
     return r
 
 
-def _maximize_concave(f, scale: float):
+def _maximize_concave(f, scale: float, seed: float | None = None):
     """Maximize a concave piecewise-linear function of one variable.
 
-    f(x) returns (value, slope, aux), the slope being a supergradient.  The
-    bracket grows from [-scale, scale] until its end slopes point inward.
-    Each step then tries the breakpoint where the two end lines meet, or
-    the midpoint on every fourth step, and the search stops at the
-    breakpoint once f reaches those lines or its slope is zero, rather than
-    at float precision.  Returns (best value, lower end, upper end): the
-    final bracket's evaluations, which at a breakpoint are both optimal.
+    f(x) returns (value, slope, aux), the slope being a supergradient.  A
+    seed is tried first: a zero slope there proves it a maximum, and any
+    other slope restarts the search as if there were no seed.  The bracket
+    grows from [-scale, scale] until its end slopes point inward.  Each
+    step then tries the breakpoint where the two end lines meet, or the
+    midpoint on every fourth step, and the search stops at the breakpoint
+    once f reaches those lines or its slope is zero, rather than at float
+    precision.  Returns (best value, lower end, upper end): the final
+    bracket's evaluations, which at a breakpoint are both optimal.
     """
+    best = -np.inf
+    if seed is not None:
+        f_seed = f(seed)
+        if f_seed[1] == 0:
+            return f_seed[0], f_seed, f_seed
+        best = f_seed[0]
     lo, hi = -scale, scale
     f_lo, f_hi = f(lo), f(hi)
     for _ in range(128):
@@ -335,7 +349,7 @@ def _maximize_concave(f, scale: float):
         lo, f_lo = hi, f_hi
         hi *= 4.0
         f_hi = f(hi)
-    best = max(f_lo[0], f_hi[0])
+    best = max(best, f_lo[0], f_hi[0])
     if f_lo[1] <= 0:
         return best, f_lo, f_lo
     if f_hi[1] >= 0:
@@ -371,6 +385,32 @@ def _budget_slope(x: float, dev: float, budget: int) -> float:
     return 0
 
 
+def _mu_breakpoint(base: np.ndarray, space: RankSpace) -> float:
+    """The sum multiplier maximizing the dual over mu, when every row of base is convex.
+
+    Row i then takes position 1 + #{k : d_ik > mu}, for the adjacent
+    differences d_ik = base[i, k-1] - base[i, k], so with M = n(n-1)/2 the
+    mu slope is #{d > mu} - M - c_n for mu > 0 and #{d > mu} - M + c_n for
+    mu < 0.  It is zero between the (M + c_n + 1)-th and (M + c_n)-th
+    largest d, or between the (M - c_n + 1)-th and (M - c_n)-th, whichever
+    lies on its own side of 0; otherwise at mu = 0.  Returns the middle of
+    that flat stretch (Hochbaum, Math. OR 19(2), 1994).  One n x (n-1)
+    table of differences is partitioned in place and freed on return.
+    """
+    half = space.n * (space.n - 1) // 2
+    c = space.c_n
+    if c >= half:
+        # |sum r - sum i| <= M for every row-wise argmin: the budget never binds
+        return 0.0
+    d = np.subtract(base[:, :-1], base[:, 1:]).ravel()
+    d.partition([half - c - 1, half - c, half + c - 1, half + c])
+    if d[half - c - 1] > 0:
+        return 0.5 * float(d[half - c - 1] + d[half - c])
+    if d[half + c] <= 0:
+        return 0.5 * float(d[half + c - 1] + d[half + c])
+    return 0.0
+
+
 def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     """Lower bound on the matching objective by Lagrangian relaxation.
 
@@ -383,6 +423,13 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     are both optimal, and the mix of them that zeroes the mu slope gives
     the lam slope for the outer search.  A sum-only space has no
     sum-of-squares budget to relax, so lam stays at 0.
+
+    Each mu search is seeded with _mu_breakpoint, exact when every row of
+    cost + lam*k^2 is convex in k (affine theta and lam >= -slope^2).  The
+    seed usually has mu slope 0 and ends its search in one evaluation;
+    non-convex rows or exact ties can give it another slope, and the search
+    then restarts from its symmetric bracket.  The bound is the largest
+    dual value evaluated, so it is a valid lower bound either way.
 
     Row minima must be exactly 0, as _band_match leaves them: the bound at
     lam = mu = 0 is then 0, and the largest cost is the largest row spread.
@@ -420,7 +467,9 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
                     incumbent, inc_cost = r, obj
             return value, _budget_slope(mu, dev1, c), dev2
 
-        value, left, right = _maximize_concave(dual, spread / n + abs(lam) * (n + 1))
+        value, left, right = _maximize_concave(
+            dual, spread / n + abs(lam) * (n + 1), _mu_breakpoint(base, space)
+        )
         if left[1] == right[1]:
             dev2 = left[2]
         else:

@@ -75,15 +75,16 @@ def _check_means(mu: np.ndarray, n: int, name: str) -> np.ndarray:
 
 def poisson_log_likelihood(X: PoissonCounts, mu) -> float:
     """sum over i != j of X_ij*log(mu_ij) - mu_ij - log(X_ij!)."""
-    # deferred: scipy.special costs most of the package's import time
-    from scipy.special import gammaln
-
     n = X.n
     m = _check_means(mu, n, "mu")
     off = _offdiag(n)
-    x = X.values[off].astype(np.float64)
+    counts = X.values[off]
+    # log(X_ij!) = lgamma(X_ij + 1), once per distinct count
+    distinct, which = np.unique(counts, return_inverse=True)
+    log_fact = np.array([math.lgamma(c + 1.0) for c in distinct.tolist()])[which]
+    x = counts.astype(np.float64)
     mo = m[off]
-    return float(np.sum(x * np.log(mo) - mo - gammaln(x + 1.0)))
+    return float(np.sum(x * np.log(mo) - mo - log_fact))
 
 
 def poisson_mle_brute_force(X: PoissonCounts, model: ModelSpec, space: RankSpace) -> np.ndarray:
@@ -92,7 +93,7 @@ def poisson_mle_brute_force(X: PoissonCounts, model: ModelSpec, space: RankSpace
     Enumerates every feasible rank vector; ties broken by lexicographic
     order.  Refuses n > ENUMERATION_N_MAX.  Minimizes sum over i != j of
     mu_ij - X_ij*log(mu_ij): the likelihood's log(X_ij!) terms are the same
-    for every candidate, so they are left out and scipy is not needed.
+    for every candidate, so they are left out.
     """
     n = X.n
     if model.n != n or space.n != n:

@@ -392,7 +392,9 @@ class ResultRow:
         for qq, val in zip(self.q_list, self.losses):
             if qq == q:
                 return val
-        raise KeyError(f"loss q={q} was not recorded")
+        raise InputError(
+            f"grid point {self.grid_index} (snr={self.snr}), rep {self.rep}: loss q={q} was not recorded"
+        )
 
 
 def _run_single(config: ExperimentConfig, grid_index: int, rep: int) -> ResultRow:
@@ -547,8 +549,8 @@ def summarize_grid(rows: Sequence[ResultRow]) -> list[GridPointSummary]:
         n = group[0].n
         mean_loss = {}
         median_loss = {}
-        for qi, q in enumerate(q_list):
-            vals = np.array([r.losses[qi] for r in group])
+        for q in q_list:
+            vals = np.array([r.loss_for(q) for r in group])
             mean_loss[q] = float(vals.mean())
             median_loss[q] = float(np.median(vals))
         rec = float(np.mean([r.exact_recovery for r in group]))

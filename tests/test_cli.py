@@ -624,6 +624,21 @@ class TestSubprocessEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "0 False"
 
+    def test_poisson_log_likelihood_leaves_scipy_unloaded(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from rankphase import PoissonCounts, poisson_log_likelihood\n"
+            "X = PoissonCounts(np.array([[0, 2, 170], [1, 0, 0], [3, 5, 0]]))\n"
+            "print(poisson_log_likelihood(X, np.full((3, 3), 2.0)), 'scipy' in sys.modules)\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        value, loaded = proc.stdout.split()
+        assert loaded == "False"
+        log_fact = math.lgamma(3) + math.lgamma(171) + math.lgamma(4) + math.lgamma(6)
+        assert float(value) == pytest.approx(181 * math.log(2.0) - 12.0 - log_fact, rel=1e-14)
+
 
 class TestShippedConfigs:
     def test_default_recipes_run(self, tmp_path):

@@ -8,6 +8,8 @@ from rankphase.errors import MatchBudgetError
 from rankphase.matching import (
     _band_match,
     _dp_match,
+    _lagrangian_bound,
+    _mu_breakpoint,
     exhaustive_feature_match,
     feature_match,
     is_affine,
@@ -223,6 +225,59 @@ def test_band_match_agrees_with_enumeration(instance):
     assert space_contains(space, r)
     _, best = exhaustive_feature_match(scores, theta, space)
     assert match_objective(scores, theta, r) == best
+
+
+@st.composite
+def _convex_rows(draw):
+    # affine theta and lam >= -slope^2 keep every row of cost + lam k^2
+    # convex in k; c_n runs past n(n-1)/2, where the sum budget never binds
+    n = draw(st.integers(3, 10))
+    space = RankSpace(n, draw(st.integers(1, n * (n - 1) // 2 + 2)))
+    unit = st.floats(-4.0, 4.0)
+    scores = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    slope = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    theta = draw(unit) + slope * np.arange(1, n + 1)
+    pos = np.arange(1, n + 1, dtype=np.float64)
+    lam = -slope * slope + draw(st.floats(0.0, 2.0))
+    return _cost(scores, theta) + lam * pos * pos, space
+
+
+def _mu_dual(base, space, mu):
+    pos = np.arange(1, space.n + 1, dtype=np.float64)
+    rowmin = np.min(base + mu * pos, axis=1)
+    return float(np.sum(rowmin)) - mu * space.identity_sum() - abs(mu) * space.c_n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_convex_rows())
+def test_mu_breakpoint_maximizes_dual_on_convex_rows(instance):
+    # the dual is concave and piecewise linear in mu with its kinks at the
+    # adjacent differences, so its maximum is at 0 or one of them
+    base, space = instance
+    kinks = (base[:, :-1] - base[:, 1:]).ravel().tolist()
+    best = max(_mu_dual(base, space, mu) for mu in [0.0, *kinks])
+    got = _mu_dual(base, space, _mu_breakpoint(base, space))
+    assert got == pytest.approx(best, rel=1e-12, abs=1e-12 * float(np.abs(base).max()))
+
+
+@st.composite
+def _bound_instances(draw):
+    # convex (affine theta) and non-convex rows, in both space kinds
+    scores, theta, space = draw(_restricted_instances())
+    if draw(st.booleans()):
+        space = RankSpace(space.n, space.c_n)
+    cost = _cost(scores, theta)
+    return cost - cost.min(axis=1, keepdims=True), space
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_bound_instances())
+def test_lagrangian_bound_stays_below_full_dp(instance):
+    cost, space = instance
+    lb = _lagrangian_bound(cost, space)[0]
+    r = _dp_match(cost, space)
+    opt = float(np.sum(cost[np.arange(space.n), r - 1]))
+    assert lb <= opt + 1e-12 * space.n * float(cost.max())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -401,6 +402,26 @@ class TestRunExperiment:
         assert calls
         assert peak < 5 * n * n * 8
 
+    def test_profile_lowsnr_dual_evaluations(self, monkeypatch):
+        # each sum-multiplier search starts at the dual's breakpoint; before
+        # that seed, the objectives of the two multiplier searches were
+        # called 16,947 times on this config
+        path = Path(__file__).resolve().parent.parent / "configs" / "pin_profile_lowsnr.json"
+        cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+        calls = []
+        maximize = matching._maximize_concave
+
+        def counted(f, *args):
+            def g(x):
+                calls.append(1)
+                return f(x)
+
+            return maximize(g, *args)
+
+        monkeypatch.setattr(matching, "_maximize_concave", counted)
+        run_experiment(cfg, workers=1)
+        assert 0 < len(calls) <= 8000
+
     def test_poisson_brute_force_grid(self):
         cfg = ExperimentConfig(
             model="poisson_sqrt_linear",
@@ -476,6 +497,21 @@ class TestRegimes:
         assert summary[0].recovery_rate == 1.0
         assert summary[0].regime == "exact"
         assert summary[0].mean_loss[2.0] == 0.0
+
+    def test_summarize_reads_losses_by_q(self):
+        # rows of one grid point may list their q values in any order
+        first, second = self._fabricated([(1.0, 0.0)], reps=2)
+        first = dataclasses.replace(first, q_list=(0.0, 2.0), losses=(0.5, 4.0))
+        second = dataclasses.replace(second, q_list=(2.0, 0.0), losses=(4.0, 0.5))
+        summary = summarize_grid([first, second])
+        assert summary[0].mean_loss == {0.0: 0.5, 2.0: 4.0}
+        assert summary[0].median_loss == {0.0: 0.5, 2.0: 4.0}
+
+    def test_summarize_row_missing_a_q_names_it(self):
+        rows = self._fabricated([(1.0, 1.0), (2.0, 4.0)])
+        rows[4] = dataclasses.replace(rows[4], q_list=(1.0,), losses=(2.0,))
+        with pytest.raises(InputError, match=r"grid point 1 \(snr=2\.0\), rep 1: loss q=2\.0 was not recorded"):
+            summarize_grid(rows)
 
 
 class TestWorkers:
@@ -577,10 +613,13 @@ class TestPinnedDigests:
     # while the diagonal was still masked with NaN, least squares by
     # enumeration at n = 5 for both Gaussian models; and, as written while
     # the Poisson MLE still added the constant sum of log X_ij!, the Poisson
-    # MLE by enumeration at n = 6
+    # MLE by enumeration at n = 6; and, as written before each Lagrangian
+    # sum-multiplier search was seeded at its breakpoint, profile LS on the
+    # profile-lowsnr benchmark config (n = 100, SNR 1e-4 to 4)
     PINS = {
         "pin_additive_n300.json": "6215fc38cd50367ca5d736e7730970f58517c97aaf4b26831525307fe9ad8d99",
         "pin_profile_n200.json": "96b1e393c57eec4647c6d51617a986dd852209e02d3e4cddac1c5010f8f41808",
+        "pin_profile_lowsnr.json": "db392bb967c57392c912dc0f9389ef46508d90a30b9a45b5ef6c0a4064182e31",
         "pin_lse_n5_differential.json": "a01d734d38d45f9f3f7896e5dde800598b079f8303a6f15b6675f3e3c36a6049",
         "pin_lse_n5_additive.json": "dc2d8ed27a1e1caf45c77d92844b6c4443878c23da6eea6eba6bada33b82bb01",
         "pin_poisson_n6.json": "48b8b8be95e7e4c46b030a00fafd617d6476b2b259364343400be694aef32998",
