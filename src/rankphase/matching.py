@@ -30,11 +30,19 @@ within tau of the bound, which proves it optimal.  A band that outgrows
 the budgets raises MatchBudgetError with a feasible rank and its certified
 gap; no branch returns an uncertified answer.
 
+In a band most rows allow one position.  The DP makes no array for such a
+row: its moves join a pending integer shift, and its costs are added in
+place to the states' cost array.  Each row with more positions makes all
+its transitions in one positions x states broadcast and merges them with
+one stable sort, so the DP's numpy calls follow those rows, not n.
+
 The bound's search for the sum multiplier starts where the dual peaks when
 every row's cost is convex in the position, as it is for affine theta:
 midway between two consecutive order statistics of the adjacent cost
 differences.  Where that start is not a peak, the search restarts from a
-symmetric bracket.
+symmetric bracket.  The search for the sum-of-squares multiplier starts
+its bracket no lower than where the rows stop being convex, so on convex
+rows every sum-multiplier start it tries is a peak.
 """
 
 from __future__ import annotations
@@ -174,28 +182,33 @@ def _window_bounds(step_lo: np.ndarray, step_hi: np.ndarray, c: int) -> tuple[li
     return lo.tolist(), hi.tolist()
 
 
-def _keep_cheapest(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+def _keep_cheapest(key, vr, par, pick):
     """Merge DP transitions into one state per key, keeping the cheapest.
 
-    Each part is (key, value, reduced, parent, position) with keys sorted and
-    distinct, parts in increasing position order.  The stable sort keeps the
-    earlier part, hence the smaller position, among equal values.
+    The columns hold transitions in the order they were made: position by
+    position, states ascending within a position, after the states of any
+    earlier fold.  vr holds their costs and reduced costs as its two rows.
+    Among equal keys the lowest cost wins, and among equal costs the
+    earliest transition, hence the smallest position.  The rule is
+    associative, so folding a row's transitions in pieces keeps the same
+    states.  Returns the kept columns, sorted by key.
     """
-    if len(parts) == 1:
-        return parts[0]
-    merged = tuple(np.concatenate(column) for column in zip(*parts))
-    order = np.argsort(merged[0], kind="stable")
-    key, value = merged[0][order], merged[1][order]
-    head = np.ones(key.shape[0], dtype=bool)
-    head[1:] = key[1:] != key[:-1]
+    order = key.argsort(kind="stable")
+    key, value = key.take(order), vr[0].take(order)
+    head = np.empty(key.shape[0], dtype=bool)
+    head[:1] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
     if not head.all():
-        group = np.cumsum(head) - 1
-        cheapest = np.minimum.reduceat(value, np.flatnonzero(head))
-        hit = np.flatnonzero(value == cheapest[group])
-        first = np.ones(hit.shape[0], dtype=bool)
-        first[1:] = group[hit[1:]] != group[hit[:-1]]
-        order = order[hit[first]]
-    return tuple(column[order] for column in merged)
+        group = head.cumsum() - 1
+        cheapest = np.minimum.reduceat(value, head.nonzero()[0])
+        hit = (value == cheapest.take(group)).nonzero()[0]
+        first = np.empty(hit.shape[0], dtype=bool)
+        first[:1] = True
+        group = group.take(hit)
+        np.not_equal(group[1:], group[:-1], out=first[1:])
+        hit = hit[first]
+        order, key = order.take(hit), key.take(hit)
+    return key, vr.take(order, axis=1), par.take(order), pick.take(order)
 
 
 def _dp_match(
@@ -213,6 +226,17 @@ def _dp_match(
     kept only while its accumulated reduced cost is at most tau.
     reduced=None allows every position and state: the full DP.  Only
     reachable states are stored, sorted by (sum, sum-of-squares) deviation.
+
+    A row with one allowed position moves every state alike and makes no
+    array: its moves join a pending integer shift, which is exact and is
+    applied at the next row with more than one position and at the end,
+    and its cost and reduced cost are added in place, in row order, to the
+    states' (2, m) cost array (to two floats while one state is live).  A
+    branching row makes its transitions in one positions x states
+    broadcast, masks them by the deviation windows and the band, and
+    merges them with one stable sort; transitions past the layer's share
+    of the state budget are made and folded in pieces, as they come.
+
     Returns the cheapest feasible rank in the band, with ties going to the
     smallest position at each state and then to the smallest final
     deviations, or None if the band holds no feasible rank.  Raises
@@ -224,105 +248,125 @@ def _dp_match(
     if reduced is None:
         reduced = np.zeros_like(cost)
     allowed = reduced <= tau
-    if not allowed.any(axis=1).all():
+    rows = np.arange(n)
+    first = allowed.argmax(axis=1)
+    if not allowed[rows, first].all():
         return None
-
-    def moves(i, k):
-        return k - i, ((k + 1) ** 2 - (i + 1) ** 2) * restricted
+    last = n - 1 - allowed[:, ::-1].argmax(axis=1)
 
     # both moves grow with k, so a row's extremes sit at its first and last
-    # allowed position
-    rows = np.arange(n)
-    lo = moves(rows, allowed.argmax(axis=1))
-    hi = moves(rows, n - 1 - allowed[:, ::-1].argmax(axis=1))
-    lo1, hi1 = _window_bounds(lo[0], hi[0], space.c_n)
-    lo2, hi2 = _window_bounds(lo[1], hi[1], space.c_n_sq or 0)
+    # allowed position, and a one-position row makes its first position's
+    sq = (rows + 1) ** 2 * restricted
+    step1, step2 = first - rows, sq[first] - sq
+    lo1, hi1 = _window_bounds(step1, last - rows, space.c_n)
+    lo2, hi2 = _window_bounds(step2, sq[last] - sq, space.c_n_sq or 0)
+    step1, step2 = step1.tolist(), step2.tolist()
+    first_vr = np.stack((cost[rows, first], reduced[rows, first]), axis=1)
+    first_val, first_red = first_vr.T.tolist()
+    first_vr = first_vr[:, :, None]
 
-    # live states of the current layer, sorted by (dev1, dev2)
+    # live states, sorted by (dev1, dev2), which lag the true deviations by
+    # the pending shift (sh1, sh2); vr holds their costs and reduced costs,
+    # and is None while the one state's are the floats val and red
     dev1 = np.zeros(1, dtype=np.int64)
-    dev2 = np.zeros(1, dtype=np.int64)
-    val = np.zeros(1)
-    red = np.zeros(1)
-    parents: list[np.ndarray | None] = []
-    picks: list = []
-    live = ops = 0
+    dev2 = np.zeros(1, dtype=np.int64) if restricted else 0
+    sh1 = sh2 = 0
+    val = red = 0.0
+    vr = None
+    layers: list[tuple[int, np.ndarray, np.ndarray]] = []  # (row, parent, position)
+    live = ops = done = 0
     layer_share = max(1, DP_STATE_BUDGET // n)
-    for i in range(n):
-        ks = np.flatnonzero(allowed[i])
-        if ks.shape[0] == 1:
-            # one position: every state shifts alike and stays sorted and
-            # distinct; the window and band checks wait for a later row
-            k = int(ks[0])
-            s1, s2 = moves(i, k)
-            dev1 = dev1 + s1
-            dev2 = dev2 + s2
-            val = val + cost[i, k]
-            red = red + reduced[i, k]
-            parents.append(None)
-            picks.append(k + 1)
-            continue
-        ops += dev1.shape[0] * ks.shape[0]
+    for i in (first != last).nonzero()[0].tolist() + [n]:
+        # the one-position rows before row i
+        sh1 += sum(step1[done:i])
+        sh2 += sum(step2[done:i])
+        if vr is None:
+            for j in range(done, i):
+                val += first_val[j]
+                red += first_red[j]
+        else:
+            for j in range(done, i):
+                vr += first_vr[j]
+        done = i + 1
+        if i == n:
+            break
+        if vr is None:
+            vr = np.array([[val], [red]])
+        ks = allowed[i].nonzero()[0]
+        w, m = ks.shape[0], dev1.shape[0]
+        ops += m * w
         if ops > DP_OP_BUDGET:
             raise MatchBudgetError(None, np.inf)
-        width2 = hi2[i] - lo2[i] + 1
-        parts: list[tuple[np.ndarray, ...]] = []
-        merged = size = 0
-        for k in ks.tolist():
-            s1, s2 = moves(i, k)
-            # dev1 is sorted, so the states landing in its window form a slice
-            a = int(np.searchsorted(dev1, lo1[i] - s1, side="left"))
-            b = int(np.searchsorted(dev1, hi1[i] - s1, side="right"))
-            if a == b:
-                continue
-            d2 = dev2[a:b] + s2
-            r = red[a:b] + reduced[i, k]
-            sel = np.flatnonzero((d2 >= lo2[i]) & (d2 <= hi2[i]) & (r <= tau))
-            key = (dev1[a:b][sel] + (s1 - lo1[i])) * width2 + (d2[sel] - lo2[i])
-            parts.append(
-                (key, val[a:b][sel] + cost[i, k], r[sel], sel + a, np.full(sel.shape[0], k + 1))
-            )
-            size += sel.shape[0]
-            if size - merged >= max(layer_share, merged):
-                # fold the transitions so far into distinct states: bounds
-                # the layer's memory, and doubling keeps the sorting cheap
-                parts = [_keep_cheapest(parts)]
-                merged = size = parts[0][0].shape[0]
-                if live + merged > DP_STATE_BUDGET:
-                    raise MatchBudgetError(None, np.inf)
-        if not parts:
-            return None
-        key, val, red, par, pick = _keep_cheapest(parts)
+        # each position's key offsets: its moves plus the pending shift,
+        # from the row's window floors
+        off1 = ks + (sh1 - lo1[i] - i)
+        off2 = sq.take(ks) + (sh2 - lo2[i] - sq[i])
+        span1, width2 = hi1[i] - lo1[i], hi2[i] - lo2[i] + 1
+        step = np.empty((2, w, 1))
+        step[0, :, 0] = cost[i].take(ks)
+        step[1, :, 0] = reduced[i].take(ks)
+        # a row past the layer's share of the state budget is broadcast in
+        # pieces of about max(layer_share, states so far) transitions, each
+        # folded into the row's states: that bounds the layer's memory, and
+        # no fold sorts more than twice its piece.  The row's state count
+        # only grows from fold to fold, so a raise after an early fold is
+        # one the row's end would make too.
+        states = None
+        p = 0
+        while p < w:
+            merged = 0 if states is None else states[0].shape[0]
+            q = min(w, p + max(1, max(layer_share, merged) // m))
+            # positions p..q-1 by states: a key lies in its window when its
+            # offset from the floor is at most the span, as an unsigned int
+            key = dev1 + off1[p:q, None]
+            keep = key.view(np.uint64) <= span1
+            if restricted:
+                key2 = dev2 + off2[p:q, None]
+                keep &= key2.view(np.uint64) < width2
+                key = key * width2 + key2
+            moved = vr[:, None, :] + step[:, p:q]
+            keep &= moved[1] <= tau
+            at = keep.ravel().nonzero()[0]
+            pos, par = np.divmod(at, m)
+            cols = (key.ravel().take(at), moved.reshape(2, -1).take(at, axis=1), par,
+                    ks[p:q].take(pos))
+            if states is not None:
+                cols = tuple(np.concatenate(c, axis=-1) for c in zip(states, cols))
+            states = _keep_cheapest(*cols)
+            if live + states[0].shape[0] > DP_STATE_BUDGET:
+                raise MatchBudgetError(None, np.inf)
+            p = q
+        key, vr, par, pick = states
         if key.shape[0] == 0:
             return None
-        dev1 = key // width2 + lo1[i]
-        dev2 = key % width2 + lo2[i]
         live += key.shape[0]
-        if live > DP_STATE_BUDGET:
-            raise MatchBudgetError(None, np.inf)
-        parents.append(par)
-        picks.append(pick)
+        if restricted:
+            dev1, dev2 = np.divmod(key, width2)
+        else:
+            dev1 = key
+        sh1, sh2 = lo1[i], lo2[i]
+        layers.append((i, par, pick))
 
-    final = np.flatnonzero(space.admits(dev1, dev2) & (red <= tau))
+    if vr is None:
+        vr = np.array([[val], [red]])
+    final = np.flatnonzero(space.admits(dev1 + sh1, dev2 + sh2) & (vr[1] <= tau))
     if final.shape[0] == 0:
         return None
-    j = int(final[np.argmin(val[final])])
-    r = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        if parents[i] is None:
-            r[i] = picks[i]
-        else:
-            r[i] = picks[i][j]
-            j = int(parents[i][j])
+    j = int(final[np.argmin(vr[0, final])])
+    r = first + 1
+    for i, par, pick in reversed(layers):
+        r[i] = pick[j] + 1
+        j = par[j]
     return r
 
 
-def _maximize_concave(f, scale: float, seed: float | None = None):
+def _maximize_concave(f, lo: float, hi: float, seed: float | None = None):
     """Maximize a concave piecewise-linear function of one variable.
 
     f(x) returns (value, slope, aux), the slope being a supergradient.  A
     seed is tried first: a zero slope there proves it a maximum, and any
     other slope restarts the search as if there were no seed.  The bracket
-    grows from [-scale, scale] until its end slopes point inward.  Each
+    grows from [lo, hi], lo < 0 < hi, until its end slopes point inward.  Each
     step then tries the breakpoint where the two end lines meet, or the
     midpoint on every fourth step, and the search stops at the breakpoint
     once f reaches those lines or its slope is zero, rather than at float
@@ -335,7 +379,6 @@ def _maximize_concave(f, scale: float, seed: float | None = None):
         if f_seed[1] == 0:
             return f_seed[0], f_seed, f_seed
         best = f_seed[0]
-    lo, hi = -scale, scale
     f_lo, f_hi = f(lo), f(hi)
     for _ in range(128):
         if f_lo[1] >= 0:
@@ -431,6 +474,18 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     then restarts from its symmetric bracket.  The bound is the largest
     dual value evaluated, so it is a valid lower bound either way.
 
+    The lam search keeps those rows convex where it can.  When every row of
+    cost is strictly convex in k, with d > 0 its smallest second
+    difference, every row of cost + lam*k^2 stays convex down to
+    lam = -d/2, and the search starts its bracket there if that lies
+    inside [-spread/n^2, spread/n^2].  For affine theta, a + b*k, d = 2b^2
+    and the start is -b^2, where every row is linear in k and takes its
+    argmin at an end.  With the sum held near n(n+1)/2 by mu, about half
+    the rows sit at n, which puts the sum of squares about n^3/6 above the
+    identity's, so the lam slope there (that deviation plus c'_n) is
+    positive and the maximizer lies above the start, not cut off; were the
+    slope negative, the bracket would grow downward as before.
+
     Row minima must be exactly 0, as _band_match leaves them: the bound at
     lam = mu = 0 is then 0, and the largest cost is the largest row spread.
 
@@ -467,9 +522,8 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
                     incumbent, inc_cost = r, obj
             return value, _budget_slope(mu, dev1, c), dev2
 
-        value, left, right = _maximize_concave(
-            dual, spread / n + abs(lam) * (n + 1), _mu_breakpoint(base, space)
-        )
+        scale = spread / n + abs(lam) * (n + 1)
+        value, left, right = _maximize_concave(dual, -scale, scale, _mu_breakpoint(base, space))
         if left[1] == right[1]:
             dev2 = left[2]
         else:
@@ -482,7 +536,18 @@ def _lagrangian_bound(cost: np.ndarray, space: RankSpace):
     if space.c_n_sq is None:
         over_mu(0.0)
     else:
-        _maximize_concave(over_mu, spread / (n * n))
+        scale = spread / (n * n)
+        floor = -scale
+        if n > 2:
+            # the smallest second difference along any row
+            curve = cost[:, 2:] - cost[:, 1:-1]
+            curve -= cost[:, 1:-1]
+            curve += cost[:, :-2]
+            least = float(curve.min())
+            del curve
+            if least > 0.0:
+                floor = max(floor, -0.5 * least)
+        _maximize_concave(over_mu, floor, scale)
     lb, lam, mu = best
     reduced = cost + lam * pos * pos + mu * pos
     low = reduced.min(axis=1, keepdims=True)

@@ -640,6 +640,39 @@ class TestSubprocessEntryPoint:
         assert float(value) == pytest.approx(181 * math.log(2.0) - 12.0 - log_fact, rel=1e-14)
 
 
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        # a None entry in sys.modules makes any import of scipy fail
+        root = Path(__file__).resolve().parent.parent
+        dirs = {name: tmp_path / name for name in ("gauss", "poisson", "pd", "est")}
+        for d in dirs.values():
+            d.mkdir()
+        gauss = write_config(dirs["gauss"], n=30, snr_grid=[1e-3, 4.0], reps=2,
+                             estimator="profile_ls_adaptive", true_rank="random_feasible")
+        poisson = write_config(dirs["poisson"], model="poisson", n=4, snr_grid=[2.0], reps=1,
+                               estimator="brute_force")
+        m = ModelSpec.parametric("differential", 6, alpha=1.0, beta_tilde=2.0)
+        matrix = write_matrix(dirs["est"], build_mean_matrix(m, np.array([2, 1, 3, 6, 5, 4])))
+        commands = [
+            ["simulate", "--config", str(gauss), "--out", str(dirs["gauss"] / "rows.csv")],
+            ["simulate", "--config", str(poisson), "--out", str(dirs["poisson"] / "rows.csv")],
+            ["phase-diagram", "--config", str(root / "configs" / "phase_diagram_default.json"),
+             "--reps", "2", "--out", str(dirs["pd"])],
+            ["estimate", "--input", str(matrix), "--kind", "comparison",
+             "--out", str(dirs["est"] / "est.txt")],
+            ["oracle-check", "--n", "4"],
+            ["verify"],
+        ]
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from rankphase.cli import main\n"
+            f"print(*(main(argv) for argv in {commands!r}), file=sys.stderr)\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 0 0 0 0 0"
+
+
 class TestShippedConfigs:
     def test_default_recipes_run(self, tmp_path):
         root = Path(__file__).resolve().parent.parent

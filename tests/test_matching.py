@@ -451,3 +451,43 @@ def test_budget_error_on_non_affine_theta(monkeypatch, restricted):
     assert gap >= 0.0
     obj = match_objective(scores, theta, incumbent)
     assert best <= obj <= best + gap + 1e-12
+
+
+def _dp_corpus_outcome(rng, monkeypatch):
+    # one seeded instance: integer costs (exact ties) or uniform ones, both
+    # space kinds, the full DP or a band at tau in {0, 1/2, 1, 2, inf}, and
+    # every fourth instance under a state budget small enough to fold
+    # mid-row and sometimes raise
+    n = int(rng.integers(3, 11))
+    integer = bool(rng.integers(2))
+    draw = (lambda: rng.integers(0, 4, (n, n)).astype(float)) if integer else (
+        lambda: rng.uniform(0.0, 3.0, (n, n)))
+    cost = draw()
+    c = int(rng.integers(1, 5))
+    space = RankSpace(n, c, int(rng.integers(0, 2 * n))) if rng.integers(2) else RankSpace(n, c)
+    reduced = draw() if rng.integers(3) else None
+    tau = float(rng.choice([0.0, 0.5, 1.0, 2.0, np.inf]))
+    budget = int(rng.integers(n, 40 * n)) if rng.integers(4) == 0 else matching.DP_STATE_BUDGET
+    monkeypatch.setattr(matching, "DP_STATE_BUDGET", budget)
+    try:
+        r = _dp_match(cost, space, reduced, tau)
+    except MatchBudgetError as err:
+        assert err.incumbent is None
+        return b"budget"
+    finally:
+        monkeypatch.undo()
+    return b"none" if r is None else r.tobytes()
+
+
+def test_dp_outcomes_on_seeded_corpus(monkeypatch):
+    # pins which rank the DP returns, tied ones included, and where it
+    # returns None or raises; the digest was recorded before the DP's
+    # one-position rows became pending shifts and each branching row one
+    # broadcast
+    import hashlib
+
+    rng = np.random.default_rng(20261020)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        digest.update(_dp_corpus_outcome(rng, monkeypatch) + b";")
+    assert digest.hexdigest() == "e6530d6875c73af38c398948e1fe905f39fba903fea1591915ba7edcd1d3387e"

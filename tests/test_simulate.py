@@ -422,6 +422,34 @@ class TestRunExperiment:
         run_experiment(cfg, workers=1)
         assert 0 < len(calls) <= 8000
 
+    def test_profile_lowsnr_lambda_search_starts_where_rows_turn_convex(self, monkeypatch):
+        # the sum-of-squares multiplier's bracket starts at -d/2, d the
+        # smallest second difference of the costs, so every row it tries is
+        # convex and each sum-multiplier search ends on its seed; from the
+        # symmetric bracket the objectives were called 2,948 times on this
+        # config, and 74 of 1,098 seeds missed
+        path = Path(__file__).resolve().parent.parent / "configs" / "pin_profile_lowsnr.json"
+        cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+        calls, seeded = [], []
+        maximize = matching._maximize_concave
+
+        def counted(f, *args):
+            before = len(calls)
+
+            def g(x):
+                calls.append(1)
+                return f(x)
+
+            out = maximize(g, *args)
+            if len(args) == 3:  # (lo, hi, seed): a sum-multiplier search
+                seeded.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(matching, "_maximize_concave", counted)
+        run_experiment(cfg, workers=1)
+        assert 0 < len(calls) <= 2300
+        assert seeded and set(seeded) == {1}
+
     def test_poisson_brute_force_grid(self):
         cfg = ExperimentConfig(
             model="poisson_sqrt_linear",
