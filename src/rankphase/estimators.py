@@ -21,6 +21,7 @@ from .model import (
     InteractionMatrix,
     ModelSpec,
     RankSpace,
+    _member_pairs,
     position_mean_table,
     rank_entries,
     space_argmin,
@@ -265,18 +266,19 @@ def lse_brute_force(X: InteractionMatrix, model: ModelSpec, space: RankSpace) ->
 
     Minimizes sum_{i != j} (X_ij - mu_{r(i)r(j)})^2; ties broken by
     lexicographic order of the rank vector.  Refuses n > ENUMERATION_N_MAX.
+    Every cell's squared residual at every position pair is tabulated
+    once; each candidate's residuals are gathered from that table through
+    its row of _member_pairs.  The diagonal reads an appended 0.0 slot
+    against the exact-zero diagonal of X, so every diagonal residual is an
+    exact zero.
     """
     n = X.n
     if model.n != n or space.n != n:
         raise InputError("matrix, model, and space sizes must agree")
-    # mean lookup by latent position pair, then fancy-index per candidate
-    pos_mu = position_mean_table(model)
-    off = ~np.eye(n, dtype=bool)
+    diff = X.values.reshape(-1, 1) - np.append(position_mean_table(model), 0.0)
+    sq = (diff * diff).ravel()
 
-    def sq_error(cand: np.ndarray) -> np.ndarray:
-        block = cand - 1
-        mu = pos_mu[block[:, :, None], block[:, None, :]]
-        diff = (X.values[None, :, :] - mu) * off[None, :, :]
-        return np.sum(diff * diff, axis=(1, 2))
+    def sq_error(pairs: np.ndarray) -> np.ndarray:
+        return sq.take(pairs).sum(axis=1)
 
-    return space_argmin(space, sq_error)[0]
+    return space_argmin(space, sq_error, _member_pairs(space))[0]

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, RankPhaseError
 
 DIFFERENTIAL = "differential"
 ADDITIVE = "additive"
@@ -30,7 +30,7 @@ MODEL_KINDS = (DIFFERENTIAL, ADDITIVE, POISSON_SQRT_LINEAR)
 
 # Largest n whose rank space is enumerated (6^6 = 46,656 vectors), and the
 # number of candidates evaluated per call of the caller's value function.
-# At n = 6 a block of 1024 keeps a value function's (k, n, n) float64
+# At n = 6 a block of 1024 keeps a value function's (k, n*n) float64
 # temporaries near 300 KB, which the allocator reuses from block to block;
 # blocks of 8192 were page-faulted afresh each time, and two worker threads
 # faulting at once doubled and scattered the time of a Poisson MLE call.
@@ -166,39 +166,86 @@ def space_contains(space: RankSpace, r) -> bool:
     return bool(space.admits(*space.deviations(rank_entries(r, space.n))))
 
 
-@functools.lru_cache(maxsize=8)
-def _space_members(space: RankSpace) -> np.ndarray:
-    """Every rank vector of the space in lexicographic order, as a read-only (k, n) array.
-
-    Built once per space (about 3 ms at n = 6) and shared by every call.
-    """
-    n = space.n
-    cand = np.indices((n,) * n, dtype=np.int64).reshape(n, -1).T + 1
+def _admitted(space: RankSpace, cand: np.ndarray) -> np.ndarray:
+    """The rows of cand that lie in the space, in order, as a read-only array."""
     cand = cand[space.admits(*space.deviations(cand))]
     cand.setflags(write=False)
     return cand
 
 
+@functools.lru_cache(maxsize=8)
+def _sum_only_members(n: int, c_n: int) -> np.ndarray:
+    """The members of RankSpace(n, c_n), filtered from the n^n grid (about 3 ms at n = 6).
+
+    Cached apart from _space_members, so that a run of one-off restricted
+    spaces cannot evict the parent they are filtered from.
+    """
+    if n > ENUMERATION_N_MAX:
+        raise InputError(f"enumeration refused for n={n} > {ENUMERATION_N_MAX}")
+    grid = np.indices((n,) * n, dtype=np.int64).reshape(n, -1).T + 1
+    return _admitted(RankSpace(n, c_n), grid)
+
+
+@functools.lru_cache(maxsize=8)
+def _space_members(space: RankSpace) -> np.ndarray:
+    """Every rank vector of the space in lexicographic order, as a read-only (k, n) int64 array.
+
+    Built once per space and shared by every call.  A restricted space
+    filters the members of its sum-only parent RankSpace(n, c_n), so the
+    n^n grid is built once per (n, c_n).  Refuses n > ENUMERATION_N_MAX.
+    """
+    parent = _sum_only_members(space.n, space.c_n)
+    return parent if space.c_n_sq is None else _admitted(space, parent)
+
+
+@functools.lru_cache(maxsize=8)
+def _member_pairs(space: RankSpace) -> np.ndarray:
+    """Flat (cell, position pair) index of every member, as a read-only (k, n*n) uint16 array.
+
+    For the m-th member r of _space_members, column c = i*n + j holds
+    c*(n*n + 1) + (r_i - 1)*n + (r_j - 1): the entry of cell (i, j) at
+    positions (r_i, r_j) in a raveled (n*n, n*n + 1) table of per-cell
+    terms, so one ``take`` gathers every member's terms.  Diagonal cells
+    point at the table's last column, which holds each cell's term at a
+    0.0 slot appended to the position table.  n <= ENUMERATION_N_MAX keeps
+    every index below 2**16.
+    """
+    n = space.n
+    block = (_space_members(space) - 1).astype(np.uint16)
+    pairs = (block[:, :, None] * n + block[:, None, :]).reshape(-1, n * n)
+    pairs[:, :: n + 1] = n * n
+    pairs += np.arange(0, n * n * (n * n + 1), n * n + 1, dtype=np.uint16)
+    pairs.setflags(write=False)
+    return pairs
+
+
 def space_argmin(
-    space: RankSpace, value: Callable[[np.ndarray], np.ndarray]
+    space: RankSpace,
+    value: Callable[[np.ndarray], np.ndarray],
+    aligned: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Lexicographically first minimizer of ``value`` over the space, and its value.
 
     Enumerates every feasible rank vector in lexicographic order and passes
     them to ``value`` as (k, n) int64 blocks of at most ENUMERATION_CHUNK
-    rows; ``value`` returns the k per-candidate values.  Refuses
-    n > ENUMERATION_N_MAX.
+    rows; ``value`` returns the k per-candidate values.  When ``aligned`` is
+    given (an array whose rows match the members row for row, such as
+    _member_pairs), ``value`` receives the same rows of ``aligned`` in place
+    of the members.  Refuses n > ENUMERATION_N_MAX.  Raises RankPhaseError
+    naming the space if a block's smallest value is NaN: np.argmin picks
+    the NaN, and the block's real minimum would be lost.
     """
-    if space.n > ENUMERATION_N_MAX:
-        raise InputError(f"enumeration refused for n={space.n} > {ENUMERATION_N_MAX}")
     cand = _space_members(space)
+    rows = cand if aligned is None else aligned
     best_idx, best_val = 0, math.inf
     for start in range(0, cand.shape[0], ENUMERATION_CHUNK):
-        vals = value(cand[start : start + ENUMERATION_CHUNK])
+        vals = value(rows[start : start + ENUMERATION_CHUNK])
         j = int(np.argmin(vals))
         if vals[j] < best_val:
             best_val = float(vals[j])
             best_idx = start + j
+        elif vals[j] != vals[j]:
+            raise RankPhaseError(f"value function returned NaN over {space}")
     return cand[best_idx].copy(), best_val
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import ModelSpec, RankSpace, position_mean_table, space_argmin
+from .model import ModelSpec, RankSpace, _member_pairs, position_mean_table, space_argmin
 
 __all__ = [
     "PoissonCounts",
@@ -93,7 +93,11 @@ def poisson_mle_brute_force(X: PoissonCounts, model: ModelSpec, space: RankSpace
     Enumerates every feasible rank vector; ties broken by lexicographic
     order.  Refuses n > ENUMERATION_N_MAX.  Minimizes sum over i != j of
     mu_ij - X_ij*log(mu_ij): the likelihood's log(X_ij!) terms are the same
-    for every candidate, so they are left out.
+    for every candidate, so they are left out.  Every cell's term at every
+    position pair is tabulated once; each candidate's terms are gathered
+    from that table through its row of _member_pairs.  The diagonal reads
+    appended 0.0 slots against exact-zero diagonal counts, so every diagonal
+    term is an exact zero.
     """
     n = X.n
     if model.n != n or space.n != n:
@@ -101,18 +105,14 @@ def poisson_mle_brute_force(X: PoissonCounts, model: ModelSpec, space: RankSpace
     pos_mu = position_mean_table(model)
     if np.any(pos_mu <= 0):
         raise InputError("model means must be strictly positive for the MLE")
-    off = _offdiag(n)
-    x = X.values.astype(np.float64)
-    log_pos = np.log(pos_mu)
+    x = X.values.astype(np.float64).reshape(-1, 1)
+    pm = np.append(pos_mu, 0.0)
+    terms = (x * np.append(np.log(pos_mu), 0.0) - pm).ravel()
 
-    def neg_log_likelihood(cand: np.ndarray) -> np.ndarray:
-        block = cand - 1
-        mu = pos_mu[block[:, :, None], block[:, None, :]]
-        lmu = log_pos[block[:, :, None], block[:, None, :]]
-        terms = (x[None, :, :] * lmu - mu) * off[None, :, :]
-        return -np.sum(terms, axis=(1, 2))
+    def neg_log_likelihood(pairs: np.ndarray) -> np.ndarray:
+        return -terms.take(pairs).sum(axis=1)
 
-    return space_argmin(space, neg_log_likelihood)[0]
+    return space_argmin(space, neg_log_likelihood, _member_pairs(space))[0]
 
 
 def cell_affinity_series(mu1: float, mu2: float) -> float:

@@ -142,6 +142,18 @@ def generate_poisson(model: ModelSpec, r, seed: int) -> PoissonCounts:
     return PoissonCounts(rng.poisson(mu))
 
 
+def _chain_draws(n: int, seeds):
+    """For each seed, a chain's starting permutation (1-based) and its 2n (coordinate, up) moves.
+
+    Each chain has its own generator and draws in the order a move at a
+    time would draw; both samplers read their draws here.
+    """
+    highs = np.tile([n, 2], 2 * n)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        yield rng.permutation(n) + 1, rng.integers(0, highs).reshape(-1, 2)
+
+
 def random_feasible_rank(space: RankSpace, seed: int) -> np.ndarray:
     """A random member of the space: random permutation plus 2n accepted +-1 moves.
 
@@ -149,15 +161,12 @@ def random_feasible_rank(space: RankSpace, seed: int) -> np.ndarray:
     result is feasible by construction.
     """
     n = space.n
-    rng = np.random.default_rng(seed)
-    r = (rng.permutation(n) + 1).tolist()
-    # one (coordinate, direction) pair per move, drawn in the order a move
-    # at a time would draw them
-    moves = rng.integers(0, np.tile([n, 2], 2 * n)).reshape(-1, 2).tolist()
+    ((start, moves),) = _chain_draws(n, (seed,))
+    r = start.tolist()
     # the budget test is RankSpace.admits written out on Python ints, kept
     # incremental: a method call per move would slow this loop
     dev1, dev2 = 0, 0
-    for i, up in moves:
+    for i, up in moves.tolist():
         d = 1 if up else -1
         cand = r[i] + d
         if cand < 1 or cand > n:
@@ -171,6 +180,38 @@ def random_feasible_rank(space: RankSpace, seed: int) -> np.ndarray:
         r[i] = cand
         dev1, dev2 = ndev1, ndev2
     return np.array(r, dtype=np.int64)
+
+
+def random_feasible_ranks(space: RankSpace, seeds) -> np.ndarray:
+    """random_feasible_rank for each of a sequence of seeds, as the rows of one (K, n) int64 array.
+
+    The K chains take their moves together, one array step per move, so
+    the cost of a step is shared by every chain; row k equals
+    random_feasible_rank(space, seeds[k]).  A single draw is cheaper
+    through the scalar loop of random_feasible_rank.
+    """
+    n = space.n
+    r = np.empty((len(seeds), n), dtype=np.int64)
+    # move t of chain k is column k of row t
+    coords = np.empty((2 * n, len(seeds)), dtype=np.int32)
+    ups = np.empty((2 * n, len(seeds)), dtype=bool)
+    for k, (start, moves) in enumerate(_chain_draws(n, seeds)):
+        r[k] = start
+        coords[:, k], ups[:, k] = moves.T
+    chains = np.arange(len(seeds))
+    dev1 = np.zeros(len(seeds), dtype=np.int64)
+    dev2 = np.zeros(len(seeds), dtype=np.int64)
+    for i, up in zip(coords, ups):
+        d = 2 * up.astype(np.int64) - 1
+        cur = r[chains, i]
+        cand = cur + d
+        ndev1 = dev1 + d
+        ndev2 = dev2 + 2 * cur * d + 1
+        ok = (cand >= 1) & (cand <= n) & space.admits(ndev1, ndev2)
+        r[chains, i] = np.where(ok, cand, cur)
+        dev1 = np.where(ok, ndev1, dev1)
+        dev2 = np.where(ok, ndev2, dev2)
+    return r
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,26 @@ def enumerate_space(n, c_n, c_n_sq=None):
     return out
 
 
+def record_values(monkeypatch, module):
+    """Patch ``module.space_argmin`` to keep a copy of every block of values it evaluates.
+
+    Returns the list the blocks are appended to, in enumeration order.
+    """
+    blocks = []
+    original = module.space_argmin
+
+    def recording(space, value, aligned=None):
+        def keep(rows):
+            vals = value(rows)
+            blocks.append(vals.copy())
+            return vals
+
+        return original(space, keep, aligned)
+
+    monkeypatch.setattr(module, "space_argmin", recording)
+    return blocks
+
+
 def brute_force_match(scores, theta, n, c_n, c_n_sq=None):
     """Exhaustive minimizer of sum (S_i - theta_{r(i)})^2 over the space."""
     scores = np.asarray(scores, dtype=float)

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankphase import ModelSpec, ResultRow, build_mean_matrix
-from rankphase.cli import CSV_HEADER, main, read_rows_csv, rows_to_csv
+from rankphase import ModelSpec, RankSpace, ResultRow, build_mean_matrix
+from rankphase import model as model_module
+from rankphase.cli import CSV_HEADER, _oracle_instance, main, read_rows_csv, rows_to_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -556,6 +557,26 @@ class TestOracleCheckCommand:
 
     def test_large_n_refused(self):
         assert main(["oracle-check", "--n", "7", "--instances", "5"]) == 2
+
+    def test_n6_builds_each_grid_once(self, monkeypatch, capsys):
+        # the odd instances draw a fresh sum-of-squares budget each; their
+        # spaces are filtered from the sum-only parent, whose 6^6 grid is
+        # built at most once per c_n
+        builds = []
+        indices = np.indices
+
+        def counting(dimensions, *args, **kwargs):
+            builds.append(dimensions)
+            return indices(dimensions, *args, **kwargs)
+
+        model_module._space_members.cache_clear()
+        model_module._sum_only_members.cache_clear()
+        monkeypatch.setattr(model_module.np, "indices", counting)
+        assert main(["oracle-check", "--n", "6", "--instances", "200"]) == 0
+        budgets = {_oracle_instance(6, idx, 0)[2].c_n for idx in range(200)}
+        budgets.add(RankSpace.default_restricted(6).c_n)
+        assert builds and len(builds) <= len(budgets)
+        assert "match rate 1.000" in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_nonpositive_instances_exit_2(self, capsys, value):

@@ -15,6 +15,7 @@ from rankphase import (
     lse_brute_force,
     match_objective,
     ols_fit,
+    position_mean_table,
     profile_ls_estimate,
     profile_ls_objective,
     score_adaptive,
@@ -22,11 +23,13 @@ from rankphase import (
     score_comparison,
     space_contains,
 )
+from rankphase import estimators as estimators_module
 from rankphase import matching
 from rankphase.matching import feature_match
+from rankphase.model import _space_members
 from rankphase.simulate import generate_gaussian, random_feasible_rank
 
-from conftest import brute_force_pl_min, enumerate_space
+from conftest import brute_force_pl_min, enumerate_space, record_values
 
 
 class TestScores:
@@ -314,6 +317,28 @@ class TestLseBruteForce:
 
     def test_feasible_set_size_example(self):
         assert len(enumerate_space(3, 1)) == 19
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("kind", ["differential", "additive"])
+    def test_pair_index_values_keep_their_bits(self, monkeypatch, n, restricted, kind):
+        # oracle: the (k, n, n) gather of the mean table at every
+        # candidate's pairs, with the diagonal masked out afterwards
+        space = RankSpace.default_restricted(n) if restricted else RankSpace.default(n)
+        blocks = record_values(monkeypatch, estimators_module)
+        block = _space_members(space) - 1
+        off = ~np.eye(n, dtype=bool)
+        rng = np.random.default_rng(500 + n)
+        for seed in range(3):
+            model = ModelSpec(kind=kind, theta=rng.normal(0.0, 2.0, n))
+            X = generate_gaussian(model, random_feasible_rank(space, seed), 1.0, seed)
+            blocks.clear()
+            lse_brute_force(X, model, space)
+            pos_mu = position_mean_table(model)
+            mu = pos_mu[block[:, :, None], block[:, None, :]]
+            diff = (X.values[None, :, :] - mu) * off[None, :, :]
+            expected = np.sum(diff * diff, axis=(1, 2))
+            assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
     def test_total_tie_returns_lexicographic_smallest(self):
         theta = np.zeros(3)

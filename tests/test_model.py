@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from rankphase import (
     InputError,
     InteractionMatrix,
     ModelSpec,
+    RankPhaseError,
     RankSpace,
     beta_for_snr,
     build_mean_matrix,
@@ -317,6 +320,35 @@ class TestSpaceArgmin:
         r, v = space_argmin(space, value)
         assert list(r) == list(expected[min(targets)])
         assert v == 0.0
+
+    @pytest.mark.parametrize("nan_at", ["last", "all"])
+    def test_nan_value_raises_naming_the_space(self, nan_at):
+        # np.argmin picks a NaN, which then compares false with the best so
+        # far; unchecked, the chunk's real minimum would be skipped
+        space = RankSpace(4, 1)
+
+        def value(cand):
+            vals = cand[:, 0].astype(np.float64)
+            if nan_at == "last":
+                vals[-1] = np.nan
+            else:
+                vals[:] = np.nan
+            return vals
+
+        with pytest.raises(RankPhaseError, match=r"RankSpace\(n=4, c_n=1, c_n_sq=None\)"):
+            space_argmin(space, value)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_restricted_members_filter_the_grid(self, n):
+        grid = np.array(list(itertools.product(range(1, n + 1), repeat=n)), dtype=np.int64)
+        for c_n, c_n_sq in ((1, 0), (2, n), (3, 2 * n * n)):
+            space = RankSpace(n, c_n, c_n_sq)
+            dev1 = grid.sum(axis=1) - space.identity_sum()
+            dev2 = (grid * grid).sum(axis=1) - space.identity_sumsq()
+            expected = grid[(np.abs(dev1) <= c_n) & (np.abs(dev2) <= c_n_sq)]
+            members = model_module._space_members(space)
+            assert members.dtype == np.int64 and not members.flags.writeable
+            assert np.array_equal(members, expected)
 
     def test_enumeration_is_shared_and_read_only(self):
         # the enumeration is built once per space; a value function that

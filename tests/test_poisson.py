@@ -14,11 +14,14 @@ from rankphase import (
     cell_affinity_series,
     poisson_log_likelihood,
     poisson_mle_brute_force,
+    position_mean_table,
     signal_gap,
 )
+from rankphase import poisson as poisson_module
+from rankphase.model import _space_members
 from rankphase.simulate import generate_poisson, random_feasible_rank
 
-from conftest import enumerate_space
+from conftest import enumerate_space, record_values
 
 
 class TestPoissonCounts:
@@ -91,6 +94,36 @@ class TestMleBruteForce:
         counts = generate_poisson(model, np.arange(1, 8), 1)
         with pytest.raises(InputError):
             poisson_mle_brute_force(counts, model, RankSpace.default(7))
+
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_pair_index_values_keep_their_bits(self, monkeypatch, n, restricted):
+        # oracle: the (k, n, n) gather of the position tables at every
+        # candidate's pairs, with the diagonal masked out afterwards
+        space = RankSpace.default_restricted(n) if restricted else RankSpace.default(n)
+        blocks = record_values(monkeypatch, poisson_module)
+        block = _space_members(space) - 1
+        off = ~np.eye(n, dtype=bool)
+        rng = np.random.default_rng(400 + n)
+        for seed in range(3):
+            model = ModelSpec.poisson_sqrt_linear(
+                n, alpha=float(rng.uniform(0.05, 0.5)), beta_tilde=float(rng.uniform(0.0, 0.4))
+            )
+            drawn = generate_poisson(model, random_feasible_rank(space, seed), seed).values
+            zero = rng.random((n, n)) < 0.3
+            zero[0, 1] = True
+            counts = PoissonCounts(np.where(zero, 0, drawn))
+            assert np.any(counts.values[off] == 0) and np.any(counts.values[off] > 0)
+            blocks.clear()
+            poisson_mle_brute_force(counts, model, space)
+            pos_mu = position_mean_table(model)
+            log_pos = np.log(pos_mu)
+            x = counts.values.astype(np.float64)
+            mu = pos_mu[block[:, :, None], block[:, None, :]]
+            lmu = log_pos[block[:, :, None], block[:, None, :]]
+            expected = -np.sum((x[None, :, :] * lmu - mu) * off[None, :, :], axis=(1, 2))
+            assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
 
 class TestBhattacharyya:

@@ -35,7 +35,7 @@ from rankphase import matching
 from rankphase.cli import rows_to_csv
 from rankphase.matching import feature_match
 from rankphase.model import _row_blocks
-from rankphase.simulate import THREADS_ENV_VAR
+from rankphase.simulate import THREADS_ENV_VAR, random_feasible_ranks
 
 
 class TestSeeds:
@@ -183,6 +183,17 @@ class TestRandomFeasibleRank:
                 for seed in range(40):
                     expected = reference(space, seed)
                     assert list(random_feasible_rank(space, seed)) == list(expected)
+
+    @pytest.mark.parametrize("n", [3, 5, 20, 100])
+    def test_batched_chains_equal_single_draws(self, n):
+        # RankSpace(n, 1, n) is a tight sum-of-squares budget: it refuses
+        # many moves the sum budget alone would take
+        seeds = [derive_seed(31, n, k) for k in range(60)]
+        for space in (RankSpace.default(n), RankSpace.default_restricted(n), RankSpace(n, 1, n)):
+            batch = random_feasible_ranks(space, seeds)
+            assert batch.dtype == np.int64 and batch.shape == (len(seeds), n)
+            for row, seed in zip(batch, seeds):
+                assert list(row) == list(random_feasible_rank(space, seed))
 
     def test_tie_fraction(self):
         space = RankSpace.default(10)
