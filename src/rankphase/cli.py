@@ -23,6 +23,7 @@ from .model import (
     ENUMERATION_N_MAX,
     InteractionMatrix,
     RankSpace,
+    _space_members,
     beta_for_snr,
     default_sum_budget,
     default_sumsq_budget,
@@ -414,6 +415,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     pl_matches = 0
     pl_worst = 0.0
     space = RankSpace.default_restricted(n)
+    centred = _centred_members(space)
     for idx in range(count):
         # well-separated: permutation truth, SNR in [4, 10] at sigma = 1
         rng = np.random.default_rng(derive_seed(seed, 102, idx))
@@ -424,7 +426,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         scores = theta[r_true - 1] + rng.normal(0.0, 1.0 / math.sqrt(2 * n), n)
         _, trace = profile_ls_estimate(scores, space)
         pl_iter = trace.objective_path[-1]
-        pl_best = _exhaustive_pl_min(scores, space)
+        pl_best = _exhaustive_pl_min(scores, space, centred)
         gap = pl_iter - pl_best
         pl_worst = max(pl_worst, gap)
         if abs(gap) <= 1e-9 * (1.0 + pl_best):
@@ -436,23 +438,29 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0 if fm_rate == 1.0 else 1
 
 
-def _exhaustive_pl_min(scores: np.ndarray, space: RankSpace) -> float:
+def _centred_members(space: RankSpace) -> np.ndarray:
+    """The space's members centred, as floats, each with its sum of squares as a last column."""
+    c = _space_members(space).astype(np.float64)
+    c -= c.mean(axis=1, keepdims=True)
+    return np.column_stack((c, np.sum(c * c, axis=1)))
+
+
+def _exhaustive_pl_min(scores: np.ndarray, space: RankSpace, centred: np.ndarray) -> float:
     # PL(r) = ||S_c||^2 - (c_r . S)^2/||c_r||^2 with c_r the centered rank
-    # vector; constant candidates leave only the intercept projection.
+    # vector, read with ||c_r||^2 from _centred_members(space); constant
+    # candidates leave only the intercept projection.
     s_centered = scores - scores.mean()
     sst = float(np.dot(s_centered, s_centered))
 
-    def pl_values(candidates: np.ndarray) -> np.ndarray:
-        c = candidates.astype(np.float64)
-        c -= c.mean(axis=1, keepdims=True)
-        denom = np.sum(c * c, axis=1)
-        proj = np.zeros(candidates.shape[0])
+    def pl_values(rows: np.ndarray) -> np.ndarray:
+        denom = rows[:, -1]
+        proj = np.zeros(rows.shape[0])
         nz = denom > 0
-        dots = c[nz] @ s_centered
+        dots = rows[nz, :-1] @ s_centered
         proj[nz] = dots * dots / denom[nz]
         return sst - proj
 
-    return space_argmin(space, pl_values)[1]
+    return space_argmin(space, pl_values, centred)[1]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

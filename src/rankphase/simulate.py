@@ -462,10 +462,12 @@ def _run_single(config: ExperimentConfig, grid_index: int, rep: int) -> ResultRo
                 scores = score_comparison(X, model.theta)
             else:
                 scores = score_collaboration(X)
+            del X  # the n x n matrix, freed before matching
             r_hat = feature_match(scores, model.theta, space)
         elif config.estimator == "profile_ls_adaptive":
             kind = "comparison" if config.model == DIFFERENTIAL else "collaboration"
             scores = score_adaptive(X, kind)
+            del X
             r_hat, trace = profile_ls_estimate(scores, space)
             iterations = trace.iterations
         else:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankphase import InputError, RankSpace, matching, space_contains
-from rankphase.errors import MatchBudgetError
+from rankphase.errors import MatchBudgetError, RankPhaseError
 from rankphase.matching import (
     _band_match,
     _dp_match,
@@ -103,6 +103,127 @@ def test_greedy_agrees_with_dp_on_affine(rng):
         r_dp = _dp_match(_cost(scores, theta), space)
         assert space_contains(space, r_fast)
         assert match_objective(scores, theta, r_fast) == match_objective(scores, theta, r_dp)
+
+
+def _heap_sum_repair(S, theta, u, dev, c):
+    # the marginal-cost greedy as a heap loop, the sum repair's reference:
+    # pop the cheapest unit step, ties to the smallest row, push its next one
+    import heapq
+
+    n = u.shape[0]
+    if abs(dev) <= c:
+        return u
+    r = u.copy()
+    direction, need = (-1, dev - c) if dev > c else (1, -c - dev)
+
+    def step_cost(i):
+        a = S[i] - theta[r[i] + direction - 1]
+        b = S[i] - theta[r[i] - 1]
+        return float(a * a - b * b)
+
+    heap = [(step_cost(i), i) for i in range(n) if 1 <= r[i] + direction <= n]
+    heapq.heapify(heap)
+    for _ in range(need):
+        if not heap:
+            raise RankPhaseError("sum repair ran out of moves; budget infeasible")
+        _, i = heapq.heappop(heap)
+        r[i] += direction
+        if 1 <= r[i] + direction <= n:
+            heapq.heappush(heap, (step_cost(i), i))
+    return r
+
+
+def _repair_instance(rng, n, theta_kind, score_kind, nearest, direction, fill):
+    # theta affine of either sign, integer-valued, with a slope near 1e-6, or
+    # flat (every step costs 0, so each row's steps all tie); u the nearest
+    # position or any rank vector; need a fraction fill of the room left in
+    # the repair direction (fill = 1: all of it)
+    k = np.arange(1, n + 1)
+    if theta_kind == "flat":
+        theta = np.full(n, float(rng.integers(-3, 4)))
+    elif theta_kind == "integer":
+        theta = float(rng.integers(-3, 4)) + float(rng.choice([-2, -1, 1, 2])) * k
+    elif theta_kind == "tiny":
+        theta = float(rng.uniform(-1e-3, 1e-3)) + 1e-6 * float(rng.uniform(0.5, 2.0)) * k
+    else:
+        theta = float(rng.uniform(-2, 2)) + float(rng.uniform(-2, 2)) * k
+    spread = float(np.abs(theta[-1] - theta[0])) + 1e-9
+    if score_kind == "integer":
+        scores = rng.integers(-n, n + 1, n).astype(float)
+    else:
+        scores = float(theta.mean()) + rng.normal(0.0, spread, n)
+    u = matching._unconstrained(scores, theta) if nearest else rng.integers(1, n + 1, n)
+    room = int((u - 1).sum() if direction < 0 else (n - u).sum())
+    need = max(1, round(fill * room))
+    c = int(rng.integers(0, n))
+    return scores, theta, u, -direction * (c + need), c
+
+
+@pytest.mark.parametrize("direction", [-1, 1])
+def test_sum_repair_equals_heap_loop(rng, direction):
+    kinds = [(t, s) for t in ("affine", "integer", "tiny", "flat") for s in ("normal", "integer")]
+    for trial in range(240):
+        theta_kind, score_kind = kinds[trial % len(kinds)]
+        n = int(rng.integers(2, 60))
+        fill = [1.0, float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 1.0))][trial % 3]
+        args = _repair_instance(rng, n, theta_kind, score_kind, bool(trial % 2), direction, fill)
+        if (args[2] == (1 if direction < 0 else n)).all():
+            continue  # no room at all: the out-of-moves case below
+        np.testing.assert_array_equal(matching._greedy_sum_repair(*args), _heap_sum_repair(*args))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 300),
+    st.sampled_from(["affine", "integer", "tiny", "flat"]),
+    st.sampled_from(["normal", "integer"]),
+    st.booleans(),
+    st.sampled_from([-1, 1]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_sum_repair_equals_heap_loop_on_drawn(n, theta, score, nearest, direction, fill, seed):
+    rng = np.random.default_rng(seed)
+    args = _repair_instance(rng, n, theta, score, nearest, direction, fill)
+    if (args[2] == (1 if direction < 0 else n)).all():
+        return  # no room at all
+    np.testing.assert_array_equal(matching._greedy_sum_repair(*args), _heap_sum_repair(*args))
+
+
+def test_sum_repair_keys_dipping_rows_by_running_maximum():
+    # |S| = 1e8 against a 1e-6 slope: a*a - b*b rounds to noise of about 2
+    # around 2e2, so the float step costs of every third row dip as it moves
+    # down; the other rows' steps are far cheaper and all go first
+    n = 60
+    theta = 1e-6 * np.arange(1, n + 1)
+    far = np.arange(n) % 3 == 0
+    scores = np.where(far, 1e8, np.linspace(0.0, 6e-5, n))
+    u = np.where(far, n, matching._unconstrained(scores, theta))
+    a = scores[0] - theta[n - 2 :: -1]
+    b = scores[0] - theta[n - 1 : 0 : -1]
+    assert (np.diff(a * a - b * b) < 0).any()
+    dev = int(u.sum()) - n * (n + 1) // 2
+    near_room = int((u[~far] - 1).sum())
+    for need in (near_room + 1, near_room + 97, int((u - 1).sum()) - 3):
+        args = scores, theta, u, dev, dev - need
+        np.testing.assert_array_equal(matching._greedy_sum_repair(*args), _heap_sum_repair(*args))
+
+
+def test_sum_repair_steps_costing_inf_stay_in_room():
+    # a step up to 2e154 costs inf, the need-th key is inf, and the first
+    # row, with no room, must not take the table's inf padding as ties
+    args = np.zeros(3), np.array([0.0, 1e154, 2e154]), np.array([3, 1, 1]), -4, 0
+    for repair in (matching._greedy_sum_repair, _heap_sum_repair):
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = repair(*args)
+        np.testing.assert_array_equal(r, [3, 3, 3])
+
+
+@pytest.mark.parametrize("u, dev", [([1, 1, 1], -10), ([3, 3, 3], 10), ([1, 2, 3], -4)])
+def test_sum_repair_out_of_moves(u, dev):
+    for repair in (matching._greedy_sum_repair, _heap_sum_repair):
+        with pytest.raises(RankPhaseError, match="ran out of moves"):
+            repair(np.zeros(3), np.arange(1.0, 4.0), np.array(u), dev, 0)
 
 
 def test_restricted_dp_agrees_with_enumeration(rng):

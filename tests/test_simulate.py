@@ -654,7 +654,9 @@ class TestPinnedDigests:
     # the Poisson MLE still added the constant sum of log X_ij!, the Poisson
     # MLE by enumeration at n = 6; and, as written before each Lagrangian
     # sum-multiplier search was seeded at its breakpoint, profile LS on the
-    # profile-lowsnr benchmark config (n = 100, SNR 1e-4 to 4)
+    # profile-lowsnr benchmark config (n = 100, SNR 1e-4 to 4); and, as
+    # written while the sum repair was still a heap loop, differential
+    # oracle theta at n = 2000 down to SNR 1e-7 (repairs of up to 12,905 steps)
     PINS = {
         "pin_additive_n300.json": "6215fc38cd50367ca5d736e7730970f58517c97aaf4b26831525307fe9ad8d99",
         "pin_profile_n200.json": "96b1e393c57eec4647c6d51617a986dd852209e02d3e4cddac1c5010f8f41808",
@@ -662,6 +664,7 @@ class TestPinnedDigests:
         "pin_lse_n5_differential.json": "a01d734d38d45f9f3f7896e5dde800598b079f8303a6f15b6675f3e3c36a6049",
         "pin_lse_n5_additive.json": "dc2d8ed27a1e1caf45c77d92844b6c4443878c23da6eea6eba6bada33b82bb01",
         "pin_poisson_n6.json": "48b8b8be95e7e4c46b030a00fafd617d6476b2b259364343400be694aef32998",
+        "pin_repair_n2000.json": "ae614e3cff3e694403b6c06eaee8f07299d964cdc8d503716de8bfcbe4fd8855",
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
