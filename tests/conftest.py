@@ -1,14 +1,29 @@
-"""Shared test helpers: independent brute-force oracles.
+"""Shared test helpers: independent brute-force oracles, and the pin manifest.
 
-These deliberately re-derive expected values by plain enumeration or
+The oracles deliberately re-derive expected values by plain enumeration or
 textbook formulas so they stay independent of the library code paths they
-check.
+check. ``configs/pins.json`` declares every byte-identity digest once.
 """
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_pins():
+    """The entries of ``configs/pins.json``, in file order."""
+    return json.loads((ROOT / "configs" / "pins.json").read_text())
+
+
+def pinned(entry_id):
+    """The sha256 digests the manifest pins for ``entry_id``, keyed by output name."""
+    (entry,) = [e for e in load_pins() if e["id"] == entry_id]
+    return entry["sha256"]
 
 
 def enumerate_space(n, c_n, c_n_sq=None):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import pinned
 from rankphase import ModelSpec, RankSpace, ResultRow, build_mean_matrix
 from rankphase import model as model_module
 from rankphase.cli import CSV_HEADER, _oracle_instance, main, read_rows_csv, rows_to_csv
@@ -155,20 +156,12 @@ class TestSimulateCommand:
 
 
 class TestPhaseDiagramCommand:
-    # sha256 of the outputs for configs/phase_diagram_default.json:
-    # results.csv pins the rows, regimes.json the JSON layout of RegimeReport,
-    # curve.csv the table; --from-results writes only the last two
-    RESULTS_PIN = "2e0f4c2f568e82dea1097b6fc56119d13b7a5b9308e4c4173ecb7d256ecf4813"
-    DEFAULT_PINS = {
-        "regimes.json": "e30892dee179acf713e93dfc3a7daa97f475e7b3725b63ba91afadc9ff2f8d73",
-        "curve.csv": "9af05da0d131a562e1e3a97a97916c4b49cef4bd2a7ec7fec7fa7faaf76194b6",
-    }
-
-    def test_default_config_reports_at_pinned_digests(self, tmp_path):
+    def test_from_results_refits_at_pinned_digests(self, tmp_path):
+        # --from-results writes regimes.json and curve.csv only; the config
+        # run's own digests are checked in tests/test_pins.py
         cfg = Path(__file__).resolve().parent.parent / "configs" / "phase_diagram_default.json"
         out, again = tmp_path / "pd", tmp_path / "again"
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
-        assert hashlib.sha256((out / "results.csv").read_bytes()).hexdigest() == self.RESULTS_PIN
         argv = ["phase-diagram", "--from-results", str(out / "results.csv"), "--out", str(again)]
         assert main(argv) == 0
         # the q lines of every replication after the first, reversed: losses
@@ -178,9 +171,10 @@ class TestPhaseDiagramCommand:
         reps = [lines[i : i + 3] for i in range(1, len(lines), 3)]
         mixed.write_text("\n".join([lines[0], *reps[0]] + [l for r in reps[1:] for l in r[::-1]]) + "\n")
         assert main(["phase-diagram", "--from-results", str(mixed), "--out", str(refit)]) == 0
-        for directory in (out, again, refit):
-            for name, digest in self.DEFAULT_PINS.items():
-                assert hashlib.sha256((directory / name).read_bytes()).hexdigest() == digest
+        pins = pinned("phase-diagram/default")
+        for directory in (again, refit):
+            for name in ("regimes.json", "curve.csv"):
+                assert hashlib.sha256((directory / name).read_bytes()).hexdigest() == pins[name]
 
     def test_runs_and_writes_outputs(self, tmp_path):
         cfg = write_config(tmp_path, snr_grid=[0.05, 0.2, 0.8, 2.0], reps=10, n=30)
@@ -460,19 +454,14 @@ class TestEstimateCommand:
         assert bounded["stalled"] in ("true", "false")
         assert float(bounded["match_gap"]) > 0.0
 
-    # sha256 of the --out file as written while each profile step fitted
-    # its line twice; 5 and 7 profile steps, so the fit carried from one
-    # step to the next is exercised
     @pytest.mark.parametrize(
-        "kind, model, digest",
+        "entry, kind, model",
         [
-            ("comparison", "differential",
-             "667f66e07da0eefb3a357f133c5aa696a8a44144aaccb7ba5c17c436b59763db"),
-            ("collaboration", "additive",
-             "edfcf64b82875722da23ef20d4426a86be8325dea23fdb11c97622f6cc43b1c7"),
+            ("estimate/comparison", "comparison", "differential"),
+            ("estimate/collaboration", "collaboration", "additive"),
         ],
     )
-    def test_output_at_pinned_digest(self, tmp_path, kind, model, digest):
+    def test_output_at_pinned_digest(self, tmp_path, entry, kind, model):
         import rankphase as rp
 
         m = ModelSpec.parametric(model, 40, alpha=0.0, beta_tilde=0.05)
@@ -480,7 +469,7 @@ class TestEstimateCommand:
         path = write_matrix(tmp_path, X.values)
         out = tmp_path / "est.txt"
         assert main(["estimate", "--input", str(path), "--kind", kind, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned(entry)["est.txt"]
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_max_iters_exit_2(self, tmp_path, capsys, value):

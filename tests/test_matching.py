@@ -16,7 +16,7 @@ from rankphase.matching import (
     match_objective,
 )
 
-from conftest import brute_force_match
+from conftest import brute_force_match, pinned
 
 
 def _cost(scores, theta):
@@ -602,13 +602,11 @@ def _dp_corpus_outcome(rng, monkeypatch):
 
 def test_dp_outcomes_on_seeded_corpus(monkeypatch):
     # pins which rank the DP returns, tied ones included, and where it
-    # returns None or raises; the digest was recorded before the DP's
-    # one-position rows became pending shifts and each branching row one
-    # broadcast
+    # returns None or raises
     import hashlib
 
     rng = np.random.default_rng(20261020)
     digest = hashlib.sha256()
     for _ in range(1000):
         digest.update(_dp_corpus_outcome(rng, monkeypatch) + b";")
-    assert digest.hexdigest() == "e6530d6875c73af38c398948e1fe905f39fba903fea1591915ba7edcd1d3387e"
+    assert digest.hexdigest() == pinned("dp-corpus")["outcomes"]

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from conftest import pinned
 from rankphase import InputError, run_identity_suite
 from rankphase.cli import main
 from rankphase.verify import CHECKS
@@ -22,11 +23,6 @@ IDENTITIES = [
 ]
 
 
-# sha256 of repr([(name, passed, max_deviation), ...]) over the suite: any
-# change in the bits of a deviation changes it
-DEVIATIONS_SHA256 = "8d9090cad95ac7e84f72ddba044b77b9a66f42185404e9b5ddec23c73c66209c"
-
-
 @pytest.fixture(scope="module")
 def results():
     return run_identity_suite()
@@ -41,7 +37,7 @@ def test_all_identities_pass(results):
 
 def test_deviations_at_pinned_digest(results):
     text = repr([(r.name, r.passed, r.max_deviation) for r in results])
-    assert hashlib.sha256(text.encode()).hexdigest() == DEVIATIONS_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned("verify/deviations")["deviations"]
 
 
 def test_nan_deviation_fails_the_gate(monkeypatch):
